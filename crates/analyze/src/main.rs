@@ -218,8 +218,9 @@ fn cmd_lockcheck() -> Result<bool, String> {
 }
 
 /// `race`: the seeded racy run must be flagged (PA201) and replay
-/// bit-for-bit, the clean run must be silent, the unfenced window
-/// program must be flagged (PA202). Findings print as JSON.
+/// bit-for-bit, the clean run must be silent, the window program must
+/// be flagged (PA202) with nothing or a gather between its writes and
+/// silent with a barrier between them. Findings print as JSON.
 fn cmd_race(seed: u64) -> Result<bool, String> {
     let report = racecheck::check(seed)?;
     println!(
@@ -233,13 +234,18 @@ fn cmd_race(seed: u64) -> Result<bool, String> {
         }
     );
     println!(
-        "race: clean run produced {} finding(s); window run produced {}",
+        "race: clean run produced {} finding(s); window runs produced {} \
+         (unseparated), {} (gather between), {} (barrier between)",
         report.clean.len(),
-        report.window.len()
+        report.window.len(),
+        report.window_gather.len(),
+        report.window_barrier.len()
     );
     let mut findings = report.racy.clone();
     findings.extend(report.clean.iter().cloned());
     findings.extend(report.window.iter().cloned());
+    findings.extend(report.window_gather.iter().cloned());
+    findings.extend(report.window_barrier.iter().cloned());
     println!("{}", racecheck::to_json(&findings));
     Ok(report.ok())
 }

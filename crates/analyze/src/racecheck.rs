@@ -13,17 +13,22 @@
 //!   same seed must drain a bit-for-bit identical report list;
 //! * a **clean** client that only touches buffers after `wait` — zero
 //!   findings, the false-positive guard;
-//! * a **window** program whose threads issue overlapping one-sided
-//!   writes with no fence between them — a PA202 report at the next
-//!   exposure-epoch boundary.
+//! * a **window** program in which two threads write the same element
+//!   in one exposure epoch — a PA202 report at the next fence. The
+//!   writes are run with nothing, a gather or a barrier between them
+//!   ([`Separator`]). A gather orders neither contributor after the
+//!   other, so it must still be flagged; a barrier orders them, so it
+//!   must be silent.
 
 use pardis_core::prelude::*;
 use pardis_core::race::{self, RaceReport};
+use pardis_idl::diag::json_escape;
 
 const VICTIM_TYPE: &str = "IDL:race_victim:1.0";
 const THREADS: usize = 2;
 const INVOCATIONS: usize = 6;
 const SEQ_LEN: usize = 64;
+const WINDOW_THREADS: usize = 3;
 
 /// A servant that consumes one distributed `in` argument and replies
 /// with an empty result — the races under test are all client-side.
@@ -51,20 +56,30 @@ pub struct RaceCheckReport {
     pub replay: Vec<RaceReport>,
     /// Reports from the clean run; must be empty.
     pub clean: Vec<RaceReport>,
-    /// Reports from the unfenced-window program; PA202 expected.
+    /// Reports from the window program with nothing between the
+    /// writes; PA202 expected.
     pub window: Vec<RaceReport>,
+    /// Reports from the window program with a gather between the
+    /// writes; PA202 expected.
+    pub window_gather: Vec<RaceReport>,
+    /// Reports from the window program with a barrier between the
+    /// writes; must be empty.
+    pub window_barrier: Vec<RaceReport>,
 }
 
 impl RaceCheckReport {
     /// Whether every expectation holds: races found and replayed
-    /// identically, no false positives, window misuse flagged.
+    /// identically, no false positives, window misuse flagged unless a
+    /// barrier orders the writes.
     pub fn ok(&self) -> bool {
+        let all_pa202 = |v: &[RaceReport]| !v.is_empty() && v.iter().all(|r| r.code == "PA202");
         !self.racy.is_empty()
             && self.racy.iter().all(|r| r.code == "PA201")
             && self.racy == self.replay
             && self.clean.is_empty()
-            && !self.window.is_empty()
-            && self.window.iter().all(|r| r.code == "PA202")
+            && all_pa202(&self.window)
+            && all_pa202(&self.window_gather)
+            && self.window_barrier.is_empty()
     }
 }
 
@@ -142,19 +157,46 @@ pub fn run_transfers(seed: u64, racy: bool, client: &str) -> Result<Vec<RaceRepo
     Ok(race::take_reports(&format!("{client}/")))
 }
 
-/// Run the unfenced-window program: both threads write the same
-/// element of rank 0's part with no fence between the writes, then
-/// fence. The two writes carry concurrent clocks — PA202.
-pub fn run_window(client: &str) -> Result<Vec<RaceReport>, String> {
+/// What runs between the two writes of [`run_window`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Separator {
+    /// Nothing: the writes are unordered.
+    None,
+    /// A gather at thread 0. It orders each contributor before the
+    /// root, not the two contributors with each other.
+    Gather,
+    /// A barrier. It orders every thread after every other.
+    Barrier,
+}
+
+/// Run the window program: thread 1 writes element 1 (thread 0's
+/// part), then every thread runs `sep`, then thread 2 writes the same
+/// element, then all fence. Unless `sep` orders the writes, they carry
+/// concurrent clocks — PA202.
+pub fn run_window(client: &str, sep: Separator) -> Result<Vec<RaceReport>, String> {
     let world = World::new(LinkSpec::unlimited());
-    let handle = world.spawn_machine(client, THREADS, |ctx| -> Result<(), String> {
+    let handle = world.spawn_machine(client, WINDOW_THREADS, move |ctx| -> Result<(), String> {
         let seq = DSequence::<f64>::from_local(ctx.rts(), vec![ctx.rank() as f64; 4])
             .map_err(|e| format!("dseq: {e}"))?;
         let ex = seq.expose(ctx.rts()).map_err(|e| format!("expose: {e}"))?;
-        // Every thread writes global element 1 (rank 0's part) in the
-        // same exposure epoch; nothing orders the writes.
-        ex.put(1, ctx.rank() as f64 + 10.0)
-            .map_err(|e| format!("put: {e}"))?;
+        let put = |writer: usize| -> Result<(), String> {
+            if ctx.rank() == writer {
+                ex.put(1, writer as f64 + 10.0)
+                    .map_err(|e| format!("put: {e}"))?;
+            }
+            Ok(())
+        };
+        put(1)?;
+        match sep {
+            Separator::None => {}
+            Separator::Gather => {
+                ctx.rts()
+                    .gather_f64(0, &[ctx.rank() as f64])
+                    .map_err(|e| format!("gather: {e}"))?;
+            }
+            Separator::Barrier => ctx.rts().barrier(),
+        }
+        put(2)?;
         ex.fence(ctx.rts());
         // Post-fence accesses are ordered by the fence — clean.
         let _ = ex.get(1).map_err(|e| format!("get: {e}"))?;
@@ -174,28 +216,18 @@ pub fn check(seed: u64) -> Result<RaceCheckReport, String> {
     let racy = run_transfers(seed, true, "racecheck-racy")?;
     let replay = run_transfers(seed, true, "racecheck-racy")?;
     let clean = run_transfers(seed, false, "racecheck-clean")?;
-    let window = run_window("racecheck-window")?;
+    let window = run_window("racecheck-window", Separator::None)?;
+    let window_gather = run_window("racecheck-window-gather", Separator::Gather)?;
+    let window_barrier = run_window("racecheck-window-barrier", Separator::Barrier)?;
     Ok(RaceCheckReport {
         seed,
         racy,
         replay,
         clean,
         window,
+        window_gather,
+        window_barrier,
     })
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Render reports as the analyzer's JSON findings document (same

@@ -6,6 +6,12 @@
 use pardis_analyze::{lockcheck, scenarios};
 use pardis_core::PardisError;
 use scenarios::Scenario;
+use std::sync::Mutex;
+
+/// The lock-order graph is process-global: tests that reset it and
+/// read its cycles take turns, so one test's seeded inversion never
+/// shows up in another's report.
+static LOCKGRAPH: Mutex<()> = Mutex::new(());
 
 #[test]
 fn mismatched_order_is_rejected_with_both_sites() {
@@ -90,6 +96,7 @@ fn scenario_checker_agrees_with_the_assertions() {
 #[test]
 fn lockcheck_rts_workload_is_cycle_free_and_inversion_is_caught() {
     use lockcheck::Node;
+    let _turn = LOCKGRAPH.lock().unwrap_or_else(|p| p.into_inner());
     let report = lockcheck::check_rts_locks().unwrap();
     assert!(
         report.cycles.is_empty(),
@@ -114,6 +121,7 @@ fn lockcheck_rts_workload_is_cycle_free_and_inversion_is_caught() {
 #[test]
 fn lock_vs_collective_inversion_is_pa203_and_invisible_to_the_old_graph() {
     use lockcheck::Node;
+    let _turn = LOCKGRAPH.lock().unwrap_or_else(|p| p.into_inner());
     let mixed = lockcheck::seeded_collective_inversion();
     assert_eq!(mixed.cycles.len(), 1, "{:?}", mixed.cycles);
     assert!(mixed.cycles[0].contains(&Node::Lock("analyze::demo_state")));
@@ -134,4 +142,8 @@ fn seeded_race_scenarios_replay_and_classify() {
     assert!(report.racy == report.replay, "replay diverged");
     // The window run flags PA202 on the shared element.
     assert!(report.window.iter().all(|w| w.code == "PA202"));
+    // A gather between the writes does not order two contributors; a
+    // barrier does.
+    assert!(!report.window_gather.is_empty(), "{report:#?}");
+    assert!(report.window_barrier.is_empty(), "{report:#?}");
 }

@@ -22,7 +22,7 @@ use pardis_rts::Endpoint;
 /// (both callbacks fire on the rank's own thread).
 struct ForwardToMetrics;
 
-impl pardis_rts::obs::RtsObserver for ForwardToMetrics {
+impl pardis_rts::probe::RtsObserver for ForwardToMetrics {
     fn collective_complete(&self, _name: &'static str, _rank: usize, wait_ns: u64) {
         metrics::observe("rts.collective_wait_ns", wait_ns);
     }
@@ -36,7 +36,7 @@ impl pardis_rts::obs::RtsObserver for ForwardToMetrics {
 /// process) install the RTS observer. Called from `OrbCtx::init`.
 pub(crate) fn init(machine: &str, host: u32, rts: &Endpoint) {
     pardis_obs::init_rank(machine, host, rts.rank());
-    pardis_rts::obs::set_observer(Box::new(ForwardToMetrics));
+    pardis_rts::probe::set_observer(Box::new(ForwardToMetrics));
 }
 
 /// The service-context entries for an outgoing request: the active

@@ -208,8 +208,7 @@ pub(crate) fn open_transfer(
     } else {
         AccessKind::TransferRead
     };
-    ClockWitness::tick();
-    let clock = ClockWitness::snapshot();
+    let clock = ClockWitness::stamp();
     INTERVALS.with(|iv| {
         iv.borrow_mut().push(OpenInterval {
             buf,
@@ -235,8 +234,7 @@ pub(crate) fn on_access(buf: u64, kind: AccessKind, what: &str) {
     if buf == 0 {
         return;
     }
-    ClockWitness::tick();
-    let now = ClockWitness::snapshot();
+    let now = ClockWitness::stamp();
     let (actor, rank) = actor_parts();
     INTERVALS.with(|iv| {
         for i in iv.borrow().iter() {
@@ -288,8 +286,7 @@ fn win_log() -> &'static Mutex<HashMap<u64, Vec<WinAccess>>> {
 /// Log a one-sided access to window `win` (`target`'s buffer,
 /// `[offset, offset+len)`).
 pub(crate) fn on_window_access(win: u64, target: usize, offset: usize, len: usize, write: bool) {
-    ClockWitness::tick();
-    let clock = ClockWitness::snapshot();
+    let clock = ClockWitness::stamp();
     let (actor, origin) = actor_parts();
     let seq = WIN_SEQ.with(|s| {
         let v = s.get();

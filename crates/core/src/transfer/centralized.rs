@@ -116,7 +116,7 @@ pub(crate) fn client_send(
                 &spec.operation,
                 ctx.rts.membership().epoch(),
                 body_len,
-                ts.elapsed().as_nanos() as u64,
+                pending.timing.send.as_nanos() as u64,
             );
         }
     }

@@ -150,7 +150,7 @@ pub(crate) fn client_send(
             &spec.operation,
             ctx.rts.membership().epoch(),
             obs_bytes,
-            0,
+            (pending.timing.pack + pending.timing.send).as_nanos() as u64,
         );
     }
     Ok(())

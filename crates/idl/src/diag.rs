@@ -246,7 +246,8 @@ impl Diagnostics {
     }
 }
 
-fn json_escape(s: &str) -> String {
+/// Escape `s` for use inside a JSON string literal.
+pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {

@@ -8,10 +8,11 @@
 //!
 //! Determinism contract: everything in a record except `wait_ns`
 //! derives from the seeded execution — ids, sequence numbers, byte
-//! counts, vector clocks ([`ClockWitness`] advances only on
-//! collectives and epoch changes). `wait_ns` is wall-clock and is
-//! quarantined: the per-rank log carries it (the straggler report
-//! needs it) but the merged timeline excludes it.
+//! counts, vector clocks ([`ClockWitness`] advances only on RTS
+//! messages, joined in program order, and on epoch changes).
+//! `wait_ns` is wall-clock and is quarantined: the per-rank log
+//! carries it (the straggler report needs it) but the merged timeline
+//! excludes it.
 
 use crate::json;
 use crate::span::SpanKind;

@@ -11,8 +11,9 @@
 //!   only ordering that holds across machines, since client and
 //!   server clock domains are disjoint;
 //! * then by vector-clock sum, which is monotone along every
-//!   happens-before edge inside one machine (a cross-rank edge passes
-//!   through a collective join, which strictly increases the sum);
+//!   happens-before edge inside one machine (a cross-rank edge is an
+//!   RTS message: its send ticks the sender's clock, and the receiver
+//!   joins the ticked clock);
 //! * ties break deterministically on `(machine, rank, seq)`.
 //!
 //! The guarantee: if span A happens-before span B, A appears first;

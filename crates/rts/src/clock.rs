@@ -1,36 +1,39 @@
 //! Per-rank vector clocks for happens-before analysis (the `analyze`
 //! feature) and causal span ordering (the `obs` feature).
 //!
-//! Every collective a rank completes — barrier, broadcast, gather,
-//! scatter, all-to-all, survivor barrier — advances that rank's
-//! component of a domain-wide vector clock and joins it with every
-//! other participant's clock (the exchange rides dedicated reserved
-//! tags, raw sends only, so it cannot recurse into the collectives it
-//! observes). A membership epoch change also ticks the clock: crossing
-//! an epoch is an ordering event even when no data moves.
+//! The clocks follow Fidge and Mattern: every RTS message carries its
+//! sender's clock, so the happens-before model holds exactly the edges
+//! the real messages create and costs no extra messages.
+//!
+//! * A send is an event of the sender: it ticks the sender's own
+//!   component and stamps the message with the result.
+//! * A receive joins the stamp into the receiver's clock when the
+//!   message is handed to its caller, not when it is parked out of
+//!   order. Joins therefore follow program order.
+//! * A membership epoch change ticks the clock, noted on entry to the
+//!   rank's next collective: crossing an epoch is an ordering event
+//!   even when no data moves.
+//!
+//! A collective thus orders exactly what its messages order. After a
+//! gather the root is ordered after every contributor, but two
+//! contributors stay concurrent; after a barrier (relayed through
+//! rank 0 while instrumentation is compiled in) every rank is ordered
+//! after every other rank's pre-barrier events. The hooks that do
+//! this live in [`crate::probe`].
 //!
 //! The clock state lives in a thread-local [`ClockWitness`], matching
 //! the SPMD model (each computing thread owns exactly one rank). The
 //! witness is what instrumented code above the RTS consults: an access
-//! stamped with the witness's snapshot is happens-before-ordered after
-//! everything that preceded the rank's last completed collective, and
-//! concurrent with anything not yet joined. Because clocks advance
-//! only on collectives and epoch changes — both deterministic under a
-//! seeded fault plan — every snapshot replays bit-for-bit.
+//! stamped with the witness's snapshot is ordered after every event
+//! that reached this rank through a message, and concurrent with
+//! anything that did not. Because sends and joins happen in program
+//! order, and epochs change at deterministic points under a seeded
+//! fault plan, every snapshot replays bit-for-bit.
 
-use crate::endpoint::Endpoint;
-use crate::error::RtsResult;
-use crate::{Tag, RESERVED_TAG_BASE};
-use bytes::Bytes;
 use std::cell::RefCell;
 
-/// Clock snapshots travel rank → 0 on this tag.
-pub const CLOCK_IN: Tag = RESERVED_TAG_BASE + 9;
-/// The joined clock travels 0 → rank on this tag.
-pub const CLOCK_OUT: Tag = RESERVED_TAG_BASE + 10;
-
-/// A vector clock: component `r` counts rank `r`'s completed ordering
-/// events (collectives + epoch transitions).
+/// A vector clock: component `r` counts rank `r`'s ordering events
+/// (message sends, recorded accesses, epoch transitions).
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Default)]
 pub struct VClock(pub Vec<u64>);
 
@@ -66,27 +69,6 @@ impl VClock {
             .enumerate()
             .all(|(i, &c)| c <= other.0.get(i).copied().unwrap_or(0))
     }
-
-    /// Little-endian `u64` wire encoding.
-    pub fn encode(&self) -> Bytes {
-        let mut out = Vec::with_capacity(self.0.len() * 8);
-        for &c in &self.0 {
-            out.extend_from_slice(&c.to_le_bytes());
-        }
-        Bytes::from(out)
-    }
-
-    /// Inverse of [`VClock::encode`]; trailing partial words are
-    /// dropped.
-    pub fn decode(payload: &[u8]) -> VClock {
-        let mut out = Vec::with_capacity(payload.len() / 8);
-        for chunk in payload.chunks_exact(8) {
-            let mut a = [0u8; 8];
-            a.copy_from_slice(chunk);
-            out.push(u64::from_le_bytes(a));
-        }
-        VClock(out)
-    }
 }
 
 struct WitnessState {
@@ -100,8 +82,8 @@ thread_local! {
 }
 
 /// The calling thread's clock witness. All methods are static: the
-/// state is thread-local, lazily initialized by the rank's first
-/// completed collective (or an explicit [`ClockWitness::init`]).
+/// state is thread-local, lazily initialized by the rank's first RTS
+/// send, receive or collective (or an explicit [`ClockWitness::init`]).
 pub struct ClockWitness;
 
 impl ClockWitness {
@@ -129,7 +111,7 @@ impl ClockWitness {
     }
 
     /// Snapshot of the calling thread's clock; empty if the thread has
-    /// not completed any ordering event yet.
+    /// no witness yet.
     pub fn snapshot() -> VClock {
         WITNESS.with(|w| {
             w.borrow()
@@ -147,6 +129,13 @@ impl ClockWitness {
                 s.clock.tick(r);
             }
         });
+    }
+
+    /// Advance the calling thread's own component and return the new
+    /// clock: the stamp of one event (a send, a recorded access).
+    pub fn stamp() -> VClock {
+        ClockWitness::tick();
+        ClockWitness::snapshot()
     }
 
     /// Observe the domain membership epoch; a change since the last
@@ -174,85 +163,13 @@ impl ClockWitness {
             }
         });
     }
-
-    /// Replace the calling thread's clock (adopting a collective join).
-    fn set(clock: VClock) {
-        WITNESS.with(|w| {
-            if let Some(s) = w.borrow_mut().as_mut() {
-                s.clock = clock;
-            }
-        });
-    }
-
-    /// Encoded snapshot for stamping an outgoing message.
-    pub fn stamp_bytes() -> Bytes {
-        ClockWitness::snapshot().encode()
-    }
-
-    /// Join an incoming message's clock stamp.
-    pub fn join_bytes(payload: &[u8]) {
-        ClockWitness::join(&VClock::decode(payload));
-    }
-}
-
-#[inline]
-fn is_live(dead: u64, rank: usize) -> bool {
-    rank >= 64 || dead & (1u64 << rank) == 0
-}
-
-impl Endpoint {
-    /// Advance and exchange vector clocks after a completed collective:
-    /// every live rank ticks its own component, rank 0 joins all live
-    /// clocks and re-distributes the join, and every live rank adopts
-    /// it. Built on raw reserved-tag sends (like [`crate::verify`]) so
-    /// it cannot recurse into the collectives it instruments. Lockstep:
-    /// a rank has at most one clock exchange outstanding, so rounds
-    /// cannot cross-match.
-    pub fn clock_sync(&self, dead: u64) -> RtsResult<()> {
-        let rank = self.rank();
-        if !is_live(dead, rank) {
-            return Ok(());
-        }
-        ClockWitness::init(rank, self.size());
-        let epoch = self.membership().epoch();
-        let crossed = ClockWitness::observe_epoch(epoch);
-        #[cfg(feature = "obs")]
-        if crossed {
-            crate::obs::notify_epoch(rank, epoch);
-        }
-        #[cfg(not(feature = "obs"))]
-        let _ = crossed;
-        ClockWitness::tick();
-        let live_others: Vec<usize> = (0..self.size())
-            .filter(|&r| r != rank && is_live(dead, r))
-            .collect();
-        if live_others.is_empty() {
-            return Ok(());
-        }
-        if rank == 0 {
-            let mut joined = ClockWitness::snapshot();
-            for _ in 0..live_others.len() {
-                let m = self.recv_filtered(|m| m.tag == CLOCK_IN)?;
-                joined.join(&VClock::decode(&m.payload));
-            }
-            let payload = joined.encode();
-            for &to in &live_others {
-                self.send_internal(to, CLOCK_OUT, payload.clone())?;
-            }
-            ClockWitness::set(joined);
-        } else {
-            self.send_internal(0, CLOCK_IN, ClockWitness::stamp_bytes())?;
-            let m = self.recv_filtered(|m| m.from == 0 && m.tag == CLOCK_OUT)?;
-            ClockWitness::set(VClock::decode(&m.payload));
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Domain, ReduceOp};
+    use crate::Domain;
+    use bytes::Bytes;
 
     #[test]
     fn join_is_componentwise_max() {
@@ -272,24 +189,58 @@ mod tests {
     }
 
     #[test]
-    fn encode_decode_roundtrips() {
-        let c = VClock(vec![7, 0, u64::MAX]);
-        assert_eq!(VClock::decode(&c.encode()), c);
-        assert_eq!(VClock::decode(b""), VClock::default());
+    fn gather_orders_the_root_and_barrier_orders_everyone() {
+        let results = Domain::run(3, |ep| {
+            ep.barrier();
+            ClockWitness::tick(); // one local event on every rank
+            let pre_gather = ClockWitness::snapshot();
+            let _ = ep.gather_f64(0, &[1.0]).unwrap();
+            let post_gather = ClockWitness::snapshot();
+            ClockWitness::tick();
+            let pre_barrier = ClockWitness::snapshot();
+            ep.barrier();
+            (
+                pre_gather,
+                post_gather,
+                pre_barrier,
+                ClockWitness::snapshot(),
+            )
+        });
+        let root_post_gather = &results[0].1;
+        for (pre_gather, _, pre_barrier, _) in &results {
+            assert!(pre_gather.leq(root_post_gather), "{results:?}");
+            for (_, _, _, post_barrier) in &results {
+                assert!(pre_barrier.leq(post_barrier), "{results:?}");
+            }
+        }
+        // A gather does not order two contributors.
+        assert!(!results[2].0.leq(&results[1].1), "{results:?}");
     }
 
     #[test]
-    fn collectives_advance_all_components() {
-        let results = Domain::run(3, |ep| {
-            ep.barrier();
-            let _ = ep.allreduce_scalar(1.0, ReduceOp::Sum).unwrap();
-            ep.barrier();
-            ClockWitness::snapshot()
+    fn collectives_send_no_extra_messages() {
+        // Inside the RTS a rank's own component counts its sends, so its
+        // growth across a collective is the number of messages sent:
+        // it must equal the featureless algorithm's count.
+        let sent = Domain::run(4, |ep| {
+            let rank = ep.rank();
+            let own = || ClockWitness::snapshot().0.get(rank).copied().unwrap_or(0);
+            let mut at = vec![own()];
+            ep.broadcast(1, (rank == 1).then(|| Bytes::from_static(b"x")))
+                .unwrap();
+            at.push(own());
+            ep.gather_bytes(2, Bytes::new()).unwrap();
+            at.push(own());
+            ep.scatterv_bytes(0, (rank == 0).then(|| vec![Bytes::new(); 4]))
+                .unwrap();
+            at.push(own());
+            ep.alltoallv_bytes(vec![Bytes::new(); 4]).unwrap();
+            at.push(own());
+            at.windows(2).map(|w| w[1] - w[0]).collect::<Vec<u64>>()
         });
-        // barrier + (reduce→broadcast sync) + barrier = 3 syncs; every
-        // rank adopted the same join each time.
-        for r in &results {
-            assert_eq!(r.0, vec![3, 3, 3], "{results:?}");
+        for (rank, counts) in sent.iter().enumerate() {
+            let root = |r: usize| if rank == r { 3 } else { 0 };
+            assert_eq!(counts, &[root(1), u64::from(rank != 2), root(0), 3]);
         }
     }
 

@@ -16,29 +16,12 @@
 use crate::endpoint::Endpoint;
 use crate::error::{RtsError, RtsResult};
 use crate::reduce::ReduceOp;
-use crate::Tag;
+use crate::{tags, Tag};
 use bytes::Bytes;
 // The byte-view reinterpretation and its inverse live in pardis-cdr
 // (one documented unsafe block for the whole workspace); intra-machine
 // transfers are native order, so no translation is applied here.
 use pardis_cdr::byteswap::{bytes_to_f64, f64_slice_as_bytes as pardis_bytes_of};
-
-/// Internal tags for the collective algorithms (above
-/// [`crate::RESERVED_TAG_BASE`]). Distinct tags per collective kind keep
-/// a mis-nested program failing loudly instead of cross-matching.
-mod tags {
-    use crate::{Tag, RESERVED_TAG_BASE};
-    pub const BCAST: Tag = RESERVED_TAG_BASE + 1;
-    pub const GATHER: Tag = RESERVED_TAG_BASE + 2;
-    pub const SCATTER: Tag = RESERVED_TAG_BASE + 3;
-    pub const ALLGATHER: Tag = RESERVED_TAG_BASE + 4;
-    pub const REDUCE: Tag = RESERVED_TAG_BASE + 5;
-    pub const ALLTOALL: Tag = RESERVED_TAG_BASE + 6;
-    /// Survivor-barrier token (live rank -> rank 0).
-    pub const MBAR_IN: Tag = RESERVED_TAG_BASE + 7;
-    /// Survivor-barrier release (rank 0 -> live ranks).
-    pub const MBAR_OUT: Tag = RESERVED_TAG_BASE + 8;
-}
 
 /// Whether `rank` is alive under `dead` (the membership bitmask).
 /// Ranks beyond the mask width are untracked and treated as alive.
@@ -59,35 +42,18 @@ impl Endpoint {
         }
         let dead = self.dead_mask();
         self.check_participants(dead, root)?;
-        #[cfg(feature = "analyze")]
-        let _wait = crate::lockgraph::collective_enter("broadcast");
-        #[cfg(feature = "obs")]
-        let obs_start = std::time::Instant::now();
-        let out = if self.rank() == root {
-            let data =
-                data.ok_or_else(|| RtsError::Internal("root must supply broadcast data".into()))?;
-            for to in 0..self.size() {
-                if to != root && live(dead, to) {
+        self.collective("broadcast", || {
+            if self.rank() == root {
+                let data = data
+                    .ok_or_else(|| RtsError::Internal("root must supply broadcast data".into()))?;
+                for to in self.live_peers(dead) {
                     self.send_internal(to, tags::BCAST, data.clone())?;
                 }
+                Ok(data)
+            } else {
+                self.recv_internal(root, tags::BCAST)
             }
-            Ok(data)
-        } else {
-            self.recv_internal(root, tags::BCAST)
-        };
-        #[cfg(any(feature = "analyze", feature = "obs"))]
-        if out.is_ok() {
-            let _ = self.clock_sync(dead);
-        }
-        #[cfg(feature = "obs")]
-        if out.is_ok() {
-            crate::obs::notify_collective(
-                "broadcast",
-                self.rank(),
-                obs_start.elapsed().as_nanos() as u64,
-            );
-        }
-        out
+        })
     }
 
     /// Gather each rank's `bytes` at `root`. Returns `Some(chunks)` in
@@ -101,48 +67,21 @@ impl Endpoint {
         }
         let dead = self.dead_mask();
         self.check_participants(dead, root)?;
-        #[cfg(feature = "analyze")]
-        let _wait = crate::lockgraph::collective_enter("gather");
-        #[cfg(feature = "obs")]
-        let obs_start = std::time::Instant::now();
-        let out = if self.rank() == root {
-            // Dead ranks contribute an empty chunk; stale messages they
-            // sent before dying are discarded, not counted.
-            let mut chunks: Vec<Option<Bytes>> = vec![None; self.size()];
-            chunks[root] = Some(bytes);
-            let mut remaining = (0..self.size())
-                .filter(|&r| r != root && live(dead, r))
-                .count();
-            while remaining > 0 {
-                let m = self.recv_any_internal(tags::GATHER)?;
-                if !live(dead, m.from) {
-                    continue;
-                }
-                if chunks[m.from].is_none() {
-                    remaining -= 1;
-                }
-                chunks[m.from] = Some(m.payload);
+        self.collective("gather", || {
+            if self.rank() != root {
+                self.send_internal(root, tags::GATHER, bytes)?;
+                return Ok(None);
             }
-            Ok(Some(
-                chunks.into_iter().map(Option::unwrap_or_default).collect(),
-            ))
-        } else {
-            self.send_internal(root, tags::GATHER, bytes)?;
-            Ok(None)
-        };
-        #[cfg(any(feature = "analyze", feature = "obs"))]
-        if out.is_ok() {
-            let _ = self.clock_sync(dead);
-        }
-        #[cfg(feature = "obs")]
-        if out.is_ok() {
-            crate::obs::notify_collective(
-                "gather",
-                self.rank(),
-                obs_start.elapsed().as_nanos() as u64,
-            );
-        }
-        out
+            // Receive source by source: a contributor may already have
+            // sent its part of the *next* gather, and per-source order
+            // keeps the two apart. Dead ranks contribute an empty chunk.
+            let mut chunks = vec![Bytes::new(); self.size()];
+            for from in self.live_peers(dead) {
+                chunks[from] = self.recv_internal(from, tags::GATHER)?;
+            }
+            chunks[root] = bytes;
+            Ok(Some(chunks))
+        })
     }
 
     /// Gather a distributed `f64` buffer at `root`, concatenated in rank
@@ -175,11 +114,10 @@ impl Endpoint {
         }
         let dead = self.dead_mask();
         self.check_participants(dead, root)?;
-        #[cfg(feature = "analyze")]
-        let _wait = crate::lockgraph::collective_enter("scatter");
-        #[cfg(feature = "obs")]
-        let obs_start = std::time::Instant::now();
-        let out = if self.rank() == root {
+        self.collective("scatter", || {
+            if self.rank() != root {
+                return self.recv_internal(root, tags::SCATTER);
+            }
             let chunks = chunks
                 .ok_or_else(|| RtsError::Internal("root must supply scatter chunks".into()))?;
             if chunks.len() != self.size() {
@@ -197,22 +135,7 @@ impl Endpoint {
                 }
             }
             mine.ok_or_else(|| RtsError::Internal("root's own scatter chunk missing".into()))
-        } else {
-            self.recv_internal(root, tags::SCATTER)
-        };
-        #[cfg(any(feature = "analyze", feature = "obs"))]
-        if out.is_ok() {
-            let _ = self.clock_sync(dead);
-        }
-        #[cfg(feature = "obs")]
-        if out.is_ok() {
-            crate::obs::notify_collective(
-                "scatter",
-                self.rank(),
-                obs_start.elapsed().as_nanos() as u64,
-            );
-        }
-        out
+        })
     }
 
     /// Scatter an `f64` buffer held at `root` according to per-rank
@@ -266,10 +189,7 @@ impl Endpoint {
         if self.rank() == 0 {
             let chunks = gathered
                 .ok_or_else(|| RtsError::Internal("rank 0 missing its gathered chunks".into()))?;
-            for to in 1..self.size() {
-                if !live(dead, to) {
-                    continue;
-                }
+            for to in self.live_peers(dead) {
                 for chunk in &chunks {
                     self.send_internal(to, tags::ALLGATHER, chunk.clone())?;
                 }
@@ -309,15 +229,10 @@ impl Endpoint {
         // Reduce at rank 0 over the live contributions.
         let reduced = if self.rank() == 0 {
             let mut acc = local.to_vec();
-            let mut remaining = (1..self.size()).filter(|&r| live(dead, r)).count();
-            while remaining > 0 {
-                let m = self.recv_any_internal(tags::REDUCE)?;
-                if !live(dead, m.from) {
-                    continue;
-                }
-                remaining -= 1;
-                let mut incoming = Vec::with_capacity(m.payload.len() / 8);
-                bytes_to_f64(&m.payload, &mut incoming);
+            for from in self.live_peers(dead) {
+                let payload = self.recv_internal(from, tags::REDUCE)?;
+                let mut incoming = Vec::with_capacity(payload.len() / 8);
+                bytes_to_f64(&payload, &mut incoming);
                 if incoming.len() != acc.len() {
                     return Err(RtsError::LengthMismatch {
                         expected: acc.len(),
@@ -360,43 +275,22 @@ impl Endpoint {
         if !live(dead, self.rank()) {
             return Err(RtsError::DeadRank { rank: self.rank() });
         }
-        #[cfg(feature = "analyze")]
-        let _wait = crate::lockgraph::collective_enter("alltoall");
-        #[cfg(feature = "obs")]
-        let obs_start = std::time::Instant::now();
-        let mut incoming: Vec<Option<Bytes>> = vec![None; self.size()];
-        for (to, chunk) in outgoing.into_iter().enumerate() {
-            if to == self.rank() {
-                incoming[to] = Some(chunk);
-            } else if live(dead, to) {
-                self.send_internal(to, tags::ALLTOALL, chunk)?;
+        self.collective("alltoall", || {
+            let mut incoming = vec![Bytes::new(); self.size()];
+            for (to, chunk) in outgoing.into_iter().enumerate() {
+                if to == self.rank() {
+                    incoming[to] = chunk;
+                } else if live(dead, to) {
+                    self.send_internal(to, tags::ALLTOALL, chunk)?;
+                }
             }
-        }
-        let mut remaining = (0..self.size())
-            .filter(|&r| r != self.rank() && live(dead, r))
-            .count();
-        while remaining > 0 {
-            let m = self.recv_any_internal(tags::ALLTOALL)?;
-            if !live(dead, m.from) {
-                continue;
+            // Source by source, like gather: a fast peer's chunk of the
+            // next all-to-all stays behind its chunk of this one.
+            for from in self.live_peers(dead) {
+                incoming[from] = self.recv_internal(from, tags::ALLTOALL)?;
             }
-            if incoming[m.from].is_none() {
-                remaining -= 1;
-            }
-            incoming[m.from] = Some(m.payload);
-        }
-        #[cfg(any(feature = "analyze", feature = "obs"))]
-        let _ = self.clock_sync(dead);
-        #[cfg(feature = "obs")]
-        crate::obs::notify_collective(
-            "alltoall",
-            self.rank(),
-            obs_start.elapsed().as_nanos() as u64,
-        );
-        Ok(incoming
-            .into_iter()
-            .map(Option::unwrap_or_default)
-            .collect())
+            Ok(incoming)
+        })
     }
 
     /// Reject collectives that cannot make progress under `dead`: a
@@ -426,17 +320,11 @@ impl Endpoint {
             return Err(RtsError::DeadRank { rank: self.rank() });
         }
         if self.rank() == 0 {
-            let mut remaining = (1..self.size()).filter(|&r| live(dead, r)).count();
-            while remaining > 0 {
-                let m = self.recv_any_internal(tags::MBAR_IN)?;
-                if live(dead, m.from) {
-                    remaining -= 1;
-                }
+            for from in self.live_peers(dead) {
+                self.recv_internal(from, tags::MBAR_IN)?;
             }
-            for to in 1..self.size() {
-                if live(dead, to) {
-                    self.send_internal(to, tags::MBAR_OUT, Bytes::new())?;
-                }
+            for to in self.live_peers(dead) {
+                self.send_internal(to, tags::MBAR_OUT, Bytes::new())?;
             }
         } else {
             self.send_internal(0, tags::MBAR_IN, Bytes::new())?;
@@ -445,15 +333,18 @@ impl Endpoint {
         Ok(())
     }
 
-    // Internal recv helpers that bypass the user-tag check (collective
+    /// Every rank but this one that is alive under `dead`, in rank
+    /// order.
+    fn live_peers(&self, dead: u64) -> impl Iterator<Item = usize> {
+        let me = self.rank();
+        (0..self.size()).filter(move |&r| r != me && live(dead, r))
+    }
+
+    // Internal recv helper that bypasses the user-tag check (collective
     // tags live in the reserved space).
     fn recv_internal(&self, from: usize, tag: Tag) -> RtsResult<Bytes> {
         self.recv_filtered(move |m| m.from == from && m.tag == tag)
             .map(|m| m.payload)
-    }
-
-    fn recv_any_internal(&self, tag: Tag) -> RtsResult<crate::Message> {
-        self.recv_filtered(move |m| m.tag == tag)
     }
 }
 
@@ -522,6 +413,27 @@ mod tests {
             let want: Vec<f64> = (0..5).map(|i| (rank * 5 + i) as f64).collect();
             assert_eq!(got, &want);
         }
+    }
+
+    #[test]
+    fn back_to_back_gathers_keep_rounds_apart() {
+        // Rank 1 sends both contributions before ranks 2 and 3 send
+        // any, so both of its messages reach the root first.
+        let rank1_done = std::sync::Arc::new(std::sync::Barrier::new(3));
+        let results = Domain::run(4, move |ep| {
+            if ep.rank() >= 2 {
+                rank1_done.wait();
+            }
+            let first = ep.gather_f64(0, &[ep.rank() as f64]).unwrap();
+            let second = ep.gather_f64(0, &[10.0 + ep.rank() as f64]).unwrap();
+            if ep.rank() == 1 {
+                rank1_done.wait();
+            }
+            (first, second)
+        });
+        let (first, second) = results[0].clone();
+        assert_eq!(first.unwrap(), vec![0.0, 1.0, 2.0, 3.0]);
+        assert_eq!(second.unwrap(), vec![10.0, 11.0, 12.0, 13.0]);
     }
 
     #[test]

@@ -25,6 +25,10 @@ pub struct Message {
     /// The payload. `Bytes` so intra-machine transfers are refcounted,
     /// not copied — shared-memory MPICH semantics.
     pub payload: Bytes,
+    /// The sender's vector clock when instrumentation is compiled in
+    /// ([`crate::probe`]); empty otherwise.
+    #[cfg_attr(not(any(feature = "analyze", feature = "obs")), allow(dead_code))]
+    pub(crate) stamp: crate::probe::Stamp,
 }
 
 /// One rank's handle on a domain.
@@ -124,6 +128,7 @@ impl Endpoint {
                 from: self.rank,
                 tag,
                 payload,
+                stamp: self.stamp(),
             })
             .map_err(|_| RtsError::Disconnected { peer: to })
     }
@@ -157,7 +162,7 @@ impl Endpoint {
         let mut pending = self.pending.borrow_mut();
         if let Some(idx) = pending.iter().position(|m| m.from == from && m.tag == tag) {
             return match pending.remove(idx) {
-                Some(m) => Ok(Some(m.payload)),
+                Some(m) => Ok(Some(self.deliver(m).payload)),
                 None => Err(RtsError::Internal("pending index vanished".into())),
             };
         }
@@ -171,6 +176,8 @@ impl Endpoint {
         }
     }
 
+    /// Receive the next message matching `pred` and hand it to the
+    /// caller; non-matching messages are parked in arrival order.
     pub(crate) fn recv_filtered(&self, pred: impl Fn(&Message) -> bool) -> RtsResult<Message> {
         // First look at buffered out-of-order messages.
         {
@@ -178,6 +185,7 @@ impl Endpoint {
             if let Some(idx) = pending.iter().position(&pred) {
                 return pending
                     .remove(idx)
+                    .map(|m| self.deliver(m))
                     .ok_or_else(|| RtsError::Internal("pending index vanished".into()));
             }
         }
@@ -188,7 +196,7 @@ impl Endpoint {
                 .recv()
                 .map_err(|_| RtsError::Disconnected { peer: usize::MAX })?;
             if pred(&m) {
-                return Ok(m);
+                return Ok(self.deliver(m));
             }
             self.pending.borrow_mut().push_back(m);
         }
@@ -217,29 +225,22 @@ impl Endpoint {
     /// includes the dead) would wait forever, so the domain switches to
     /// a software survivor barrier relayed through rank 0 — rank 0 is
     /// assumed alive (its death is machine death at the layer above).
+    /// With instrumentation compiled in, the relayed barrier is used
+    /// throughout: its messages carry the vector clocks.
     pub fn barrier(&self) {
         let dead = self.membership.dead_mask();
-        #[cfg(feature = "analyze")]
-        let _wait = crate::lockgraph::collective_enter("barrier");
-        #[cfg(feature = "obs")]
-        let obs_start = std::time::Instant::now();
-        if dead == 0 {
-            self.barrier.wait();
-        } else {
-            // A disconnect here means a peer exited without a recorded
-            // death — teardown, not degraded operation. Returning is
-            // the least-harm option; collectives after it will report
-            // the disconnect as a typed error.
-            let _ = self.survivor_barrier(dead);
-        }
-        #[cfg(any(feature = "analyze", feature = "obs"))]
-        let _ = self.clock_sync(dead);
-        #[cfg(feature = "obs")]
-        crate::obs::notify_collective(
-            "barrier",
-            self.rank(),
-            obs_start.elapsed().as_nanos() as u64,
-        );
+        // A disconnect here means a peer exited without a recorded
+        // death — teardown, not degraded operation. Returning is the
+        // least-harm option; collectives after it will report the
+        // disconnect as a typed error.
+        let _ = self.collective("barrier", || {
+            if dead == 0 && !crate::probe::INSTRUMENTED {
+                self.barrier.wait();
+                Ok(())
+            } else {
+                self.survivor_barrier(dead)
+            }
+        });
     }
 }
 

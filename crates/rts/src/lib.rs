@@ -3,12 +3,12 @@
 //! PARDIS does not talk to a parallel application's computing threads
 //! directly; it goes through a *generic run-time system interface* that
 //! "encompasses the functionality of message-passing libraries" (§2.3 of
-//! the paper — tested there against MPI and Tulip). This crate is that
-//! interface plus an in-process implementation: a [`Domain`] of `n`
-//! ranks, each an OS thread holding an [`Endpoint`], communicating over
-//! lock-free channels — the moral equivalent of MPICH compiled for
-//! shared memory, which is exactly how the paper ran its client and
-//! server machines.
+//! the paper — tested there against MPI and Tulip). In this crate that
+//! interface is [`Endpoint`]'s own methods, implemented in-process: a
+//! [`Domain`] of `n` ranks, each an OS thread holding an [`Endpoint`],
+//! communicating over lock-free channels — the moral equivalent of
+//! MPICH compiled for shared memory, which is exactly how the paper ran
+//! its client and server machines.
 //!
 //! The interface surface is deliberately MPI-shaped:
 //!
@@ -53,11 +53,9 @@ pub mod error;
 #[cfg(feature = "analyze")]
 pub mod lockgraph;
 pub mod membership;
-#[cfg(feature = "obs")]
-pub mod obs;
+pub mod probe;
 pub mod reduce;
 pub mod rma;
-pub mod traits;
 #[cfg(feature = "analyze")]
 pub mod verify;
 
@@ -67,7 +65,6 @@ pub use error::{RtsError, RtsResult};
 pub use membership::{Liveness, Membership, MembershipView, PhiDetector};
 pub use reduce::ReduceOp;
 pub use rma::Window;
-pub use traits::RtsComm;
 
 /// Message tag: distinguishes independent conversations between the same
 /// pair of ranks, exactly as in MPI.
@@ -77,6 +74,33 @@ pub type Tag = u32;
 /// collective algorithms; user code must stay below it.
 pub const RESERVED_TAG_BASE: Tag = 0xF000_0000;
 
+/// Every reserved tag the RTS sends on, in one table. Each protocol has
+/// its own tags, so a mis-nested program fails loudly instead of
+/// cross-matching another protocol's messages.
+pub mod tags {
+    use crate::{Tag, RESERVED_TAG_BASE};
+    /// Broadcast payload (root -> rank).
+    pub const BCAST: Tag = RESERVED_TAG_BASE + 1;
+    /// Gather contribution (rank -> root).
+    pub const GATHER: Tag = RESERVED_TAG_BASE + 2;
+    /// Scatter chunk (root -> rank).
+    pub const SCATTER: Tag = RESERVED_TAG_BASE + 3;
+    /// All-gather redistribution (rank 0 -> rank).
+    pub const ALLGATHER: Tag = RESERVED_TAG_BASE + 4;
+    /// Reduction contribution (rank -> rank 0).
+    pub const REDUCE: Tag = RESERVED_TAG_BASE + 5;
+    /// Personalized all-to-all chunk (rank -> rank).
+    pub const ALLTOALL: Tag = RESERVED_TAG_BASE + 6;
+    /// Message-relayed barrier token (live rank -> rank 0).
+    pub const MBAR_IN: Tag = RESERVED_TAG_BASE + 7;
+    /// Message-relayed barrier release (rank 0 -> live ranks).
+    pub const MBAR_OUT: Tag = RESERVED_TAG_BASE + 8;
+    /// Collective-consistency fingerprint (rank -> rank 0).
+    pub const VERIFY: Tag = RESERVED_TAG_BASE + 9;
+    /// Collective-consistency verdict (rank 0 -> rank).
+    pub const VERDICT: Tag = RESERVED_TAG_BASE + 10;
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -84,5 +108,22 @@ mod tests {
     #[test]
     fn reserved_base_leaves_user_space() {
         const { assert!(RESERVED_TAG_BASE > 1_000_000) };
+    }
+
+    #[test]
+    fn reserved_tags_are_pairwise_distinct() {
+        use tags::*;
+        let all = [
+            BCAST, GATHER, SCATTER, ALLGATHER, REDUCE, ALLTOALL, MBAR_IN, MBAR_OUT, VERIFY, VERDICT,
+        ];
+        for (i, a) in all.iter().enumerate() {
+            assert!(
+                *a >= RESERVED_TAG_BASE,
+                "tag {a:#x} below the reserved base"
+            );
+            for b in &all[i + 1..] {
+                assert_ne!(a, b, "reserved tag {a:#x} used twice");
+            }
+        }
     }
 }

@@ -20,20 +20,10 @@
 //! `DSequence::expose` in `pardis-core`, which builds on this.
 
 use crate::error::{RtsError, RtsResult};
+use crate::probe::track_lock;
 use crate::Endpoint;
 use parking_lot::RwLock;
 use std::sync::Arc;
-
-/// Feed this acquisition to the lock-order graph (`analyze` feature);
-/// compiles to nothing otherwise. Bind the result so the tracked
-/// window covers the guard's lifetime: `let _t = track_lock("...");`.
-#[cfg(feature = "analyze")]
-fn track_lock(class: &'static str) -> crate::lockgraph::LockToken {
-    crate::lockgraph::track(class)
-}
-
-#[cfg(not(feature = "analyze"))]
-fn track_lock(_class: &'static str) {}
 
 /// Shared state of one exposure epoch: every rank's buffer, reachable
 /// from any rank.
