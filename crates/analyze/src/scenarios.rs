@@ -91,7 +91,7 @@ impl Scenario {
                 local: Bytes::new(),
                 client_templ: templ.clone(),
                 server_templ: templ,
-                buf_id: 0,
+                buf_id: pardis_core::probe::BufId::untracked(),
             }
         };
         match self {

@@ -23,6 +23,7 @@ use crate::dseq::{DSequence, Elem};
 use crate::error::{PardisError, PardisResult};
 use crate::future::PardisFuture;
 use crate::orb::OrbCtx;
+use crate::probe;
 use crate::request::{ArgDir, DistArgSend, InvokeTiming, ReplyResult, RequestSpec};
 use crate::transfer::{centralized, multiport};
 use bytes::Bytes;
@@ -114,19 +115,28 @@ pub struct PendingInvoke {
     /// A send-phase failure deferred until the receive phase, so the
     /// machine's threads stay in lockstep through the collectives.
     pub(crate) send_error: Option<PardisError>,
-    /// Operation name, kept to label the invocation span.
-    #[cfg(feature = "obs")]
-    pub(crate) op: String,
-    /// This rank's root span id for the invocation (equal to the trace
-    /// id on the thread holding the connection).
-    #[cfg(feature = "obs")]
-    pub(crate) local_root: u64,
+    /// What the invocation's probe events carry from begin to end.
+    pub(crate) probe: probe::InvokeToken,
 }
 
 impl PendingInvoke {
-    /// The deferred send-phase failure, if any.
-    pub(crate) fn send_failure(&self) -> Option<PardisError> {
-        self.send_error.clone()
+    /// The distributed argument `arg_idx` a reply returns, checked
+    /// against the reply's global length `total_len`.
+    pub(crate) fn returning(&self, arg_idx: u32, total_len: usize) -> PardisResult<&PendingDist> {
+        let unknown = || PardisError::BadDistArg(format!("reply names unknown arg {arg_idx}"));
+        let d = self.dist.get(arg_idx as usize).ok_or_else(unknown)?;
+        if d.client_templ.len() != total_len {
+            return Err(PardisError::BadDistArg(format!(
+                "reply length {total_len} differs from argument length {}",
+                d.client_templ.len()
+            )));
+        }
+        if !d.dir.returns() {
+            return Err(PardisError::BadDistArg(format!(
+                "reply returns data for `in` argument {arg_idx}"
+            )));
+        }
+        Ok(d)
     }
 }
 
@@ -149,7 +159,6 @@ impl OrbCtx {
         host: Option<&str>,
         expected_type: Option<&str>,
     ) -> PardisResult<Proxy> {
-        #[cfg(feature = "obs")]
         let bind_start = Instant::now();
         let objref = if self.is_comm_thread() {
             let objref = self.resolve(name, host)?;
@@ -161,39 +170,10 @@ impl OrbCtx {
             pardis_cdr::traits::from_bytes::<ObjectRef>(&bytes).map_err(PardisError::from)?
         };
         check_type(&objref, expected_type)?;
-        let conn = if self.is_comm_thread() {
-            Some(Connection::open(
-                &self.host,
-                objref.host,
-                objref.request_port,
-            ))
-        } else {
-            None
-        };
-        #[cfg(feature = "obs")]
-        crate::obs::record_span(
-            pardis_obs::SpanKind::Bind,
-            name,
-            0,
-            pardis_obs::recorder::alloc_span_id(),
-            0,
-            self.rts.membership().epoch(),
-            0,
-            bind_start.elapsed().as_nanos() as u64,
-        );
-        Ok(Proxy {
-            objref,
-            collective: true,
-            conn,
-            mode: TransferMode::Centralized,
-            reply_buf: RefCell::new(Vec::new()),
-            retry: None,
-            default_deadline: None,
-            retries: Cell::new(0),
-            fallbacks: Cell::new(0),
-            breaker: None,
-            consecutive_failures: Cell::new(0),
-        })
+        let conn = self
+            .is_comm_thread()
+            .then(|| Connection::open(&self.host, objref.host, objref.request_port));
+        Ok(self.bound(name, bind_start, objref, true, conn))
     }
 
     /// Per-thread bind: establishes one binding for the calling thread
@@ -206,26 +186,27 @@ impl OrbCtx {
         host: Option<&str>,
         expected_type: Option<&str>,
     ) -> PardisResult<Proxy> {
-        #[cfg(feature = "obs")]
         let bind_start = Instant::now();
         let objref = self.resolve(name, host)?;
         check_type(&objref, expected_type)?;
         let conn = Connection::open(&self.host, objref.host, objref.request_port);
-        #[cfg(feature = "obs")]
-        crate::obs::record_span(
-            pardis_obs::SpanKind::Bind,
-            name,
-            0,
-            pardis_obs::recorder::alloc_span_id(),
-            0,
-            self.rts.membership().epoch(),
-            0,
-            bind_start.elapsed().as_nanos() as u64,
-        );
-        Ok(Proxy {
+        Ok(self.bound(name, bind_start, objref, false, Some(conn)))
+    }
+
+    /// Complete a bind of `name` begun at `started`.
+    fn bound(
+        &self,
+        name: &str,
+        started: Instant,
+        objref: ObjectRef,
+        collective: bool,
+        conn: Option<Connection>,
+    ) -> Proxy {
+        probe::bind(&self.rts, name, started);
+        Proxy {
             objref,
-            collective: false,
-            conn: Some(conn),
+            collective,
+            conn,
             mode: TransferMode::Centralized,
             reply_buf: RefCell::new(Vec::new()),
             retry: None,
@@ -234,7 +215,7 @@ impl OrbCtx {
             fallbacks: Cell::new(0),
             breaker: None,
             consecutive_failures: Cell::new(0),
-        })
+        }
     }
 
     fn resolve(&self, name: &str, host: Option<&str>) -> PardisResult<ObjectRef> {
@@ -359,8 +340,7 @@ impl Proxy {
             local: T::to_native_bytes(seq.local_data()),
             client_templ: seq.templ().clone(),
             server_templ,
-            #[cfg(feature = "analyze")]
-            buf_id: seq.buf_id(),
+            buf_id: seq.buf_id.share(),
         })
     }
 
@@ -384,8 +364,7 @@ impl Proxy {
             client_templ: DistTempl::from_counts(vec![data.len()]),
             server_templ,
             // A plain slice has no tracked buffer identity.
-            #[cfg(feature = "analyze")]
-            buf_id: 0,
+            buf_id: probe::BufId::untracked(),
         })
     }
 
@@ -451,17 +430,15 @@ impl Proxy {
         // PA103: a retry policy on a non-idempotent two-way request is
         // legal but inert — the policy never fires. Surface the hazard
         // to the analyzer instead of silently ignoring it.
-        #[cfg(feature = "analyze")]
-        if !can_retry {
-            crate::analyze::record(
-                "PA103",
+        probe::finding("PA103", || {
+            (!can_retry).then(|| {
                 format!(
                     "retry policy attached to non-idempotent operation `{}`; \
                      the policy will never retry it",
                     spec.operation
-                ),
-            );
-        }
+                )
+            })
+        });
         let mut attempt: u32 = 0;
         loop {
             let result = self
@@ -494,8 +471,7 @@ impl Proxy {
                 };
             }
             self.retries.set(self.retries.get() + 1);
-            #[cfg(feature = "obs")]
-            pardis_obs::metrics::add("orb.retries", 1);
+            probe::counter("orb.retries");
             std::thread::sleep(policy.backoff(attempt));
             attempt += 1;
         }
@@ -510,7 +486,7 @@ impl Proxy {
         ctx: &'a OrbCtx,
         spec: RequestSpec,
     ) -> PardisResult<PardisFuture<'a, ReplyResult>> {
-        let pending = self.begin(ctx, &spec)?;
+        let pending = self.begin_with_mode(ctx, &spec, self.mode)?;
         let probe_ready = self.conn.is_some();
         let fut = PardisFuture::pending(move || self.complete(ctx, pending));
         Ok(if probe_ready {
@@ -523,11 +499,7 @@ impl Proxy {
     }
 
     /// Begin an invocation: synchronize, agree on a request id, run the
-    /// send phase of the selected transfer method.
-    fn begin(&self, ctx: &OrbCtx, spec: &RequestSpec) -> PardisResult<PendingInvoke> {
-        self.begin_with_mode(ctx, spec, self.mode)
-    }
-
+    /// send phase of the `mode` transfer method.
     fn begin_with_mode(
         &self,
         ctx: &OrbCtx,
@@ -536,14 +508,7 @@ impl Proxy {
     ) -> PardisResult<PendingInvoke> {
         // "the computing threads of the client first synchronize" (§3.2)
         if self.collective {
-            // PA101: before committing to the (deadlocking) collective
-            // protocol, agree that every computing thread is issuing the
-            // same invocation. Divergence becomes a typed error naming
-            // both call sites instead of a hang.
-            #[cfg(feature = "analyze")]
-            ctx.rts
-                .agree_collective(&crate::analyze::fingerprint(spec, mode))?;
-            ctx.rts.barrier();
+            probe::invoke_sync(&ctx.rts, spec, mode)?;
         }
         let started = Instant::now();
         // Agree on the request id and the effective transfer method.
@@ -578,23 +543,8 @@ impl Proxy {
         };
         if requested == TransferMode::MultiPort && mode == TransferMode::Centralized {
             self.fallbacks.set(self.fallbacks.get() + 1);
-            #[cfg(feature = "obs")]
-            pardis_obs::metrics::add("orb.fallbacks", 1);
+            probe::counter("orb.fallbacks");
         }
-        #[cfg(feature = "obs")]
-        let local_root = {
-            pardis_obs::metrics::add("orb.requests", 1);
-            // The thread holding the connection roots the trace: its
-            // span id is the trace id itself. The other computing
-            // threads hang their phases off a per-rank root span.
-            let root = if self.conn.is_some() {
-                req_id
-            } else {
-                pardis_obs::recorder::alloc_span_id()
-            };
-            pardis_obs::recorder::set_current(req_id, root);
-            root
-        };
 
         let mut pending = PendingInvoke {
             req_id,
@@ -614,10 +564,7 @@ impl Proxy {
             started,
             deadline: spec.deadline.or(self.default_deadline).map(|d| started + d),
             send_error: None,
-            #[cfg(feature = "obs")]
-            op: spec.operation.clone(),
-            #[cfg(feature = "obs")]
-            local_root,
+            probe: probe::invoke_begin(&spec.operation, req_id, self.conn.is_some()),
         };
 
         // Sanity: collective bindings require client templates shaped
@@ -737,8 +684,7 @@ impl Proxy {
         };
         // The transfer is over (either way): close this request's
         // access intervals so later buffer accesses are ordered.
-        #[cfg(feature = "analyze")]
-        crate::race::close_transfer(pending.req_id);
+        probe::transfer_close(pending.req_id);
         if self.collective {
             // Exit barrier (§3.3 reads the send interleaving off the
             // time threads spend here). Taken on the error path too, so
@@ -750,30 +696,11 @@ impl Proxy {
                 r.timing.barrier += tb.elapsed();
             }
         }
+        let total = pending.started.elapsed();
         if let Ok(r) = &mut result {
-            r.timing.total = pending.started.elapsed();
+            r.timing.total = total;
         }
-        #[cfg(feature = "obs")]
-        {
-            if matches!(&result, Err(PardisError::Timeout)) {
-                pardis_obs::metrics::add("orb.timeouts", 1);
-            }
-            crate::obs::record_span(
-                pardis_obs::SpanKind::Invoke,
-                &pending.op,
-                pending.req_id,
-                pending.local_root,
-                if pending.local_root == pending.req_id {
-                    0
-                } else {
-                    pending.req_id
-                },
-                ctx.rts.membership().epoch(),
-                0,
-                pending.started.elapsed().as_nanos() as u64,
-            );
-            pardis_obs::recorder::clear_current();
-        }
+        probe::invoke_end(&ctx.rts, pending.req_id, pending.probe, &result, total);
         result
     }
 

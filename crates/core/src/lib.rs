@@ -73,6 +73,7 @@ pub mod naming;
 #[cfg(feature = "obs")]
 pub mod obs;
 pub mod orb;
+pub mod probe;
 #[cfg(feature = "analyze")]
 pub mod race;
 pub mod request;

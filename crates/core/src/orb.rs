@@ -153,14 +153,7 @@ impl OrbCtx {
         naming: NameService,
         opts: OrbOptions,
     ) -> PardisResult<OrbCtx> {
-        // Bind this thread's race-analyzer identity before any tracked
-        // buffer can be created on it.
-        #[cfg(feature = "analyze")]
-        crate::race::set_actor(&host.name(), rts.rank());
-        // Bind this thread's observability identity (span recorder +
-        // metrics) before the first collective can record anything.
-        #[cfg(feature = "obs")]
-        crate::obs::init(&host.name(), host.id().0, &rts);
+        crate::probe::rank_init(&host, &rts);
         // Each thread opens its own data port, in rank order so the
         // machine's port numbering is a pure function of thread count —
         // this is what lets a seeded fault plan replay identically
@@ -347,25 +340,20 @@ impl OrbCtx {
         match surv.as_deref() {
             None => Ok(templ),
             Some(survivors) => {
-                #[cfg(feature = "analyze")]
-                {
-                    // PA104: a deliberately skewed (Proportions) layout
-                    // cannot be honored by the blockwise remap — the
-                    // degraded invocation silently loses the registered
-                    // proportions.
+                // PA104: a deliberately skewed (Proportions) layout
+                // cannot be honored by the blockwise remap — the
+                // degraded invocation silently loses the registered
+                // proportions.
+                crate::probe::finding("PA104", || {
                     let uniform = crate::dist::DistTempl::block(templ.len(), templ.nthreads());
-                    if templ.counts() != uniform.counts() {
-                        crate::analyze::record(
-                            "PA104",
-                            format!(
-                                "degraded remap of a non-uniform template {:?} onto \
-                                 survivors {survivors:?} discards the registered \
-                                 proportions",
-                                templ.counts()
-                            ),
-                        );
-                    }
-                }
+                    (templ.counts() != uniform.counts()).then(|| {
+                        format!(
+                            "degraded remap of a non-uniform template {:?} onto \
+                             survivors {survivors:?} discards the registered proportions",
+                            templ.counts()
+                        )
+                    })
+                });
                 templ.remap_onto(survivors)
             }
         }

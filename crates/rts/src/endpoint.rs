@@ -27,7 +27,6 @@ pub struct Message {
     pub payload: Bytes,
     /// The sender's vector clock when instrumentation is compiled in
     /// ([`crate::probe`]); empty otherwise.
-    #[cfg_attr(not(any(feature = "analyze", feature = "obs")), allow(dead_code))]
     pub(crate) stamp: crate::probe::Stamp,
 }
 
@@ -47,10 +46,6 @@ pub struct Endpoint {
     /// versioned by epoch. Mask 0 — the healthy case — keeps every code
     /// path identical to the membership-free runtime.
     membership: Arc<Membership>,
-    /// Collective sequence number for the consistency verifier: counts
-    /// how many [`crate::verify`] agreements this rank has entered.
-    #[cfg(feature = "analyze")]
-    verify_seq: std::cell::Cell<u64>,
 }
 
 impl Endpoint {
@@ -68,17 +63,7 @@ impl Endpoint {
             pending: RefCell::new(VecDeque::new()),
             barrier,
             membership,
-            #[cfg(feature = "analyze")]
-            verify_seq: std::cell::Cell::new(0),
         }
-    }
-
-    /// Advance and return this rank's collective sequence number.
-    #[cfg(feature = "analyze")]
-    pub(crate) fn next_verify_seq(&self) -> u64 {
-        let seq = self.verify_seq.get();
-        self.verify_seq.set(seq + 1);
-        seq
     }
 
     /// This endpoint's rank in `0..size()`.

@@ -70,12 +70,14 @@ impl Endpoint {
     /// Hand `m` to the caller, joining the clock it carries.
     #[inline]
     pub(crate) fn deliver(&self, m: Message) -> Message {
+        let stamp: &Stamp = &m.stamp;
         #[cfg(any(feature = "analyze", feature = "obs"))]
         {
             use crate::clock::ClockWitness;
             ClockWitness::init(self.rank(), self.size());
-            ClockWitness::join(&m.stamp);
+            ClockWitness::join(stamp);
         }
+        let _ = stamp;
         m
     }
 

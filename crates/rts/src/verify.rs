@@ -9,16 +9,23 @@
 //!
 //! This module turns that deadlock into a typed error. Before the
 //! collective part of an invocation runs, every rank fingerprints its
-//! call site (operation, transfer mode, argument shapes, sequence
-//! number) and the ranks agree on the fingerprint over a dedicated
-//! reserved tag pair: rank 0 collects all fingerprints, compares them
-//! against its own, and broadcasts a verdict. On divergence, every
-//! rank returns [`RtsError::CollectiveMismatch`] naming the divergent
-//! thread and both call sites.
+//! call site (operation, transfer mode, argument shapes) and the ranks
+//! agree on the fingerprint over a dedicated reserved tag pair: rank 0
+//! collects all fingerprints, compares them against its own, and
+//! broadcasts a verdict. On divergence, every rank returns
+//! [`RtsError::CollectiveMismatch`] naming the divergent thread and
+//! both call sites.
+//!
+//! No rank can send its next fingerprint before it has received this
+//! round's verdict, so in every round rank 0 compares fingerprints of
+//! the same round: the rounds need no sequence number. No rank leaves
+//! the agreement before every rank has entered it, so it synchronizes
+//! as a barrier does.
 //!
 //! The agreement itself must not use the high-level collectives (they
 //! would re-enter verification); it uses raw tagged sends on
-//! [`tags::VERIFY`] / [`tags::VERDICT`].
+//! [`tags::VERIFY`] / [`tags::VERDICT`], run through
+//! `Endpoint::collective` so the lock graph sees a collective node.
 
 use crate::endpoint::Endpoint;
 use crate::error::{RtsError, RtsResult};
@@ -65,14 +72,17 @@ impl Endpoint {
     /// Must be called by all ranks (it is itself a collective, built
     /// from raw sends so it cannot recurse into verification).
     pub fn agree_collective(&self, fp: &Fingerprint) -> RtsResult<()> {
-        let seq = self.next_verify_seq();
+        self.collective("agree", || self.agree(fp))
+    }
+
+    fn agree(&self, fp: &Fingerprint) -> RtsResult<()> {
         if self.rank() == 0 {
             // Collect every other rank's fingerprint and compare.
             let mut divergent: Option<(usize, String)> = None;
             for _ in 0..self.size() - 1 {
                 let m = self.recv_filtered(|m| m.tag == tags::VERIFY)?;
-                let (their_hash, their_seq, their_site) = decode_fingerprint(&m.payload)?;
-                if (their_hash, their_seq) != (fp.hash, seq) && divergent.is_none() {
+                let (their_hash, their_site) = decode_fingerprint(&m.payload)?;
+                if their_hash != fp.hash && divergent.is_none() {
                     divergent = Some((m.from, their_site));
                 }
             }
@@ -93,23 +103,22 @@ impl Endpoint {
                 }),
             }
         } else {
-            self.send_internal(0, tags::VERIFY, encode_fingerprint(fp, seq))?;
+            self.send_internal(0, tags::VERIFY, encode_fingerprint(fp))?;
             let m = self.recv_filtered(|m| m.from == 0 && m.tag == tags::VERDICT)?;
             decode_verdict(&m.payload)
         }
     }
 }
 
-fn encode_fingerprint(fp: &Fingerprint, seq: u64) -> Bytes {
-    let mut out = Vec::with_capacity(16 + fp.site.len());
+fn encode_fingerprint(fp: &Fingerprint) -> Bytes {
+    let mut out = Vec::with_capacity(8 + fp.site.len());
     out.extend_from_slice(&fp.hash.to_le_bytes());
-    out.extend_from_slice(&seq.to_le_bytes());
     out.extend_from_slice(fp.site.as_bytes());
     Bytes::from(out)
 }
 
-fn decode_fingerprint(payload: &[u8]) -> RtsResult<(u64, u64, String)> {
-    if payload.len() < 16 {
+fn decode_fingerprint(payload: &[u8]) -> RtsResult<(u64, String)> {
+    if payload.len() < 8 {
         return Err(RtsError::Internal(
             "short collective-verify fingerprint".into(),
         ));
@@ -117,10 +126,8 @@ fn decode_fingerprint(payload: &[u8]) -> RtsResult<(u64, u64, String)> {
     let mut a = [0u8; 8];
     a.copy_from_slice(&payload[..8]);
     let hash = u64::from_le_bytes(a);
-    a.copy_from_slice(&payload[8..16]);
-    let seq = u64::from_le_bytes(a);
-    let site = String::from_utf8_lossy(&payload[16..]).into_owned();
-    Ok((hash, seq, site))
+    let site = String::from_utf8_lossy(&payload[8..]).into_owned();
+    Ok((hash, site))
 }
 
 fn encode_ok() -> Bytes {

@@ -45,9 +45,11 @@ impl Servant for SumServant {
 }
 
 /// One seeded chaos run (multi-port with frame drops and a mid-run
-/// data-port kill). Returns the drained spans and the metrics
-/// snapshot, leaving the global registries clean for the next run.
-fn run_and_capture(seed: u64) -> (Vec<SpanRecord>, String) {
+/// data-port kill). Returns the drained spans, the metrics snapshot and
+/// the `timing.total` (ns) of every invocation that completed on the
+/// client's communicating thread, leaving the global registries clean
+/// for the next run.
+fn run_and_capture(seed: u64) -> (Vec<SpanRecord>, String, Vec<u64>) {
     let world = World::new(LinkSpec::unlimited());
 
     let server_opts = OrbOptions {
@@ -80,6 +82,7 @@ fn run_and_capture(seed: u64) -> (Vec<SpanRecord>, String) {
         }
         ctx.rts().barrier();
 
+        let mut totals = Vec::new();
         for i in 0..INVOCATIONS {
             if i == KILL_AT {
                 ctx.rts().barrier();
@@ -102,6 +105,9 @@ fn run_and_capture(seed: u64) -> (Vec<SpanRecord>, String) {
             if let Ok(reply) = proxy.invoke(&ctx, spec) {
                 let mut r = CdrReader::new(&reply.nondist_body, ctx.endian());
                 let _ = f64::decode(&mut r).unwrap();
+                if ctx.is_comm_thread() {
+                    totals.push(reply.timing.total.as_nanos() as u64);
+                }
             }
         }
 
@@ -110,22 +116,23 @@ fn run_and_capture(seed: u64) -> (Vec<SpanRecord>, String) {
             ctx.host().fabric().clear_faults();
             ctx.send_shutdown(proxy.objref()).unwrap();
         }
+        totals
     });
 
-    client.join();
+    let totals = client.join().concat();
     server.join();
 
     let spans = pardis_obs::drain_all();
     let metrics = pardis_obs::snapshot_json();
     pardis_obs::reset();
-    (spans, metrics)
+    (spans, metrics, totals)
 }
 
 #[test]
 fn merged_timeline_replays_bit_for_bit() {
     let _g = RUN_LOCK.lock();
-    let (spans_a, metrics_a) = run_and_capture(SEED);
-    let (spans_b, metrics_b) = run_and_capture(SEED);
+    let (spans_a, metrics_a, _) = run_and_capture(SEED);
+    let (spans_b, metrics_b, _) = run_and_capture(SEED);
 
     assert!(!spans_a.is_empty(), "run recorded no spans");
 
@@ -167,7 +174,7 @@ fn merged_timeline_replays_bit_for_bit() {
 #[test]
 fn server_spans_parent_under_client_trace() {
     let _g = RUN_LOCK.lock();
-    let (spans, _) = run_and_capture(SEED ^ 0x1234);
+    let (spans, _, _) = run_and_capture(SEED ^ 0x1234);
 
     // Service-context propagation: every server dispatch span names a
     // client trace and parents under that trace's root span (whose id
@@ -204,4 +211,38 @@ fn server_spans_parent_under_client_trace() {
     let rendered = timeline::render(&merged);
     let back = timeline::parse_log(&rendered).expect("merged timeline must reparse");
     assert_eq!(back.len(), merged.len());
+}
+
+#[test]
+fn spans_take_their_times_from_invoke_timing() {
+    let _g = RUN_LOCK.lock();
+    let (spans, _, totals) = run_and_capture(SEED);
+    assert!(!totals.is_empty(), "no invocation completed");
+
+    // The communicating thread's invoke span (the trace root: its span
+    // id is the trace id) takes its invocation's `timing.total`.
+    let root_waits: Vec<u64> = spans
+        .iter()
+        .filter(|s| s.kind == SpanKind::Invoke && s.span_id == s.trace_id)
+        .map(|s| s.wait_ns)
+        .collect();
+    for total in &totals {
+        assert!(
+            root_waits.contains(total),
+            "no invoke span took timing.total = {total} ns: {root_waits:?}"
+        );
+    }
+
+    // Every request is two-way. A reply span takes its rank's pack +
+    // send: the communicating thread sends every Reply message, the
+    // other server rank returns no distributed data to `sum`.
+    let replies: Vec<&SpanRecord> = spans.iter().filter(|s| s.kind == SpanKind::Reply).collect();
+    assert!(!replies.is_empty(), "no reply spans recorded");
+    for r in replies {
+        if r.rank == 0 {
+            assert_ne!(r.wait_ns, 0, "reply span {} has no wait", r.span_id);
+        } else {
+            assert_eq!(r.wait_ns, 0, "rank {} sent nothing to reply", r.rank);
+        }
+    }
 }
