@@ -244,6 +244,10 @@ pub fn reset() {
 mod tests {
     use super::*;
 
+    /// The tests share the process-wide registry (each one resets it),
+    /// so they take turns.
+    static SERIAL: Mutex<()> = Mutex::new(());
+
     fn ev(kind: SpanKind, trace: u64) -> SpanEvent {
         SpanEvent {
             kind,
@@ -259,6 +263,7 @@ mod tests {
 
     #[test]
     fn record_fills_identity_and_sequence() {
+        let _turn = SERIAL.lock();
         reset();
         init("m", 3, 1);
         record(ev(SpanKind::Invoke, 42));
@@ -276,6 +281,7 @@ mod tests {
 
     #[test]
     fn stable_line_strips_only_wait_ns() {
+        let _turn = SERIAL.lock();
         reset();
         init("m", 1, 0);
         record(ev(SpanKind::Marshal, 7));
