@@ -11,7 +11,7 @@
 //!    corpus and exact expected-findings matching.
 //! 2. **Collective-consistency runtime verification** ([`scenarios`])
 //!    — known-divergent SPMD programs run on the
-//!    [`pardis_core::World`] testbed with the `analyze` feature, each
+//!    [`pardis_core::World`] testbed with the `instrument` feature, each
 //!    of which must fail with a typed
 //!    [`pardis_core::PardisError::CollectiveMismatch`] (finding PA101)
 //!    instead of deadlocking.

@@ -1,6 +1,6 @@
 //! Pass 3: wait-for-graph deadlock detection (findings PA102, PA203).
 //!
-//! [`pardis_rts::lockgraph`] records, behind the `analyze` feature, a
+//! [`pardis_rts::lockgraph`] records, behind the `instrument` feature, a
 //! wait-for order graph whose nodes are both **locks** (by class) and
 //! **pending collectives** (barrier, broadcast, …). A cycle is a
 //! potential deadlock even if no run has hit it: pure-lock cycles

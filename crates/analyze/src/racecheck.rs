@@ -1,6 +1,6 @@
 //! Pass 4: happens-before race replay (findings PA201 and PA202).
 //!
-//! [`pardis_core::race`] records, behind the `analyze` feature, every
+//! [`pardis_core::race`] records, behind the `instrument` feature, every
 //! application access to a distributed sequence's local buffer and
 //! every one-sided window access, each stamped with the per-rank
 //! vector clock of [`pardis_rts::clock`]. This pass replays seeded

@@ -2,7 +2,7 @@
 //!
 //! Each scenario stands up a parallel server and a parallel client on
 //! the [`World`] testbed and makes the client's computing threads
-//! violate the SPMD contract in a specific way. Without the `analyze`
+//! violate the SPMD contract in a specific way. Without the `instrument`
 //! feature every one of these deadlocks (the divergent threads wait on
 //! collectives with mismatched participants); with it, the
 //! collective-consistency verifier turns the divergence into a typed

@@ -3,17 +3,16 @@
 //! One collective invocation carrying an `in` distributed-sequence
 //! argument, timed over an unlimited link so the wire contributes
 //! nothing and every microsecond is CPU: stubs, CDR, gather/scatter —
-//! plus, depending on features, the happens-before instrumentation
-//! (`analyze`: vector-clock ticks, access-interval recording) or the
-//! observability instrumentation (`obs`: span recording, per-rank
-//! metrics, service-context propagation). Running the binary under
-//! each configuration against the featureless baseline measures the
-//! instrumentation overheads reported in EXPERIMENTS.md.
+//! plus, with the `instrument` feature, the instrumentation (the
+//! message-relayed barrier carrying the PA101 agreement, vector-clock
+//! stamps, access-interval recording, span recording, per-rank
+//! metrics, service-context propagation). Running the binary with and
+//! without the feature measures the instrumentation overhead reported
+//! in EXPERIMENTS.md.
 //!
 //! ```text
 //! cargo run --release -p pardis-bench --bin echo [iters]
-//! cargo run --release -p pardis-bench --bin echo --features analyze [iters]
-//! cargo run --release -p pardis-bench --bin echo --features obs [iters]
+//! cargo run --release -p pardis-bench --bin echo --features instrument [iters]
 //! ```
 
 use pardis::prelude::*;
@@ -24,13 +23,13 @@ fn main() {
         .nth(1)
         .and_then(|s| s.parse().ok())
         .unwrap_or(64);
-    let analyze = cfg!(feature = "analyze");
-    let obs = cfg!(feature = "obs");
     println!(
-        "echo: c=4, n=8, unlimited link, {iters} iters/point, \
-         analyze instrumentation: {}, obs instrumentation: {}",
-        if analyze { "ON" } else { "OFF" },
-        if obs { "ON" } else { "OFF" }
+        "echo: c=4, n=8, unlimited link, {iters} iters/point, instrumentation: {}",
+        if cfg!(feature = "instrument") {
+            "ON"
+        } else {
+            "OFF"
+        }
     );
     println!();
     println!("  length_doubles, centralized_us, multiport_us");

@@ -1,4 +1,4 @@
-//! Runtime analysis support (the `analyze` feature).
+//! Runtime analysis support (the `instrument` feature).
 //!
 //! Two concerns live here:
 //!

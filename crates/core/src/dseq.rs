@@ -513,7 +513,7 @@ mod tests {
         let c = s.clone();
         assert_eq!(c, s);
         assert_eq!(s.buf_id.share().tracked(), s.buf_id.tracked());
-        // Under `analyze` the clone owns fresh storage, tracked apart.
+        // Instrumented, the clone owns fresh storage, tracked apart.
         if let (Some(a), Some(b)) = (s.buf_id.tracked(), c.buf_id.tracked()) {
             assert_ne!(a, b);
         }

@@ -35,7 +35,7 @@ pub enum PardisError {
     /// The transport failed mid-invocation (CORBA `COMM_FAILURE`): a
     /// connection reset, a dead port, or a vanished route.
     CommFailure(String),
-    /// The collective-consistency verifier (`analyze` feature) caught
+    /// The collective-consistency verifier (`instrument` feature) caught
     /// one computing thread issuing a different SPMD invocation than
     /// the others — the divergence that would otherwise deadlock.
     /// Never retryable: the program itself diverged.

@@ -62,7 +62,7 @@
 //! server.join();
 //! ```
 
-#[cfg(feature = "analyze")]
+#[cfg(feature = "instrument")]
 pub mod analyze;
 pub mod client;
 pub mod dist;
@@ -70,11 +70,11 @@ pub mod dseq;
 pub mod error;
 pub mod future;
 pub mod naming;
-#[cfg(feature = "obs")]
+#[cfg(feature = "instrument")]
 pub mod obs;
 pub mod orb;
 pub mod probe;
-#[cfg(feature = "analyze")]
+#[cfg(feature = "instrument")]
 pub mod race;
 pub mod request;
 pub mod server;
@@ -88,7 +88,7 @@ pub use error::{PardisError, PardisResult};
 pub use future::PardisFuture;
 pub use naming::NameService;
 pub use orb::{DegradePolicy, OrbCtx, OrbOptions};
-#[cfg(feature = "analyze")]
+#[cfg(feature = "instrument")]
 pub use race::{AccessKind, RaceReport};
 pub use request::{ArgDir, DistArgSend, InvokeTiming, ReplyResult, RequestSpec};
 pub use server::{DistIn, Servant, ServerRequest};

@@ -1,45 +1,26 @@
-//! Observability glue for the ORB (the `obs` feature), the mechanism
-//! behind [`crate::probe`]: the probe decides which spans an invocation
-//! records and takes their times from its `InvokeTiming`; this module
-//! wires `pardis-obs` (spans, metrics, timeline) into the ORB:
+//! Observability glue for the ORB (the `instrument` feature), the
+//! mechanism behind [`crate::probe`]: the probe decides which spans an
+//! invocation records and takes their times from its `InvokeTiming`;
+//! this module wires `pardis-obs` (spans, metrics, timeline) into the
+//! ORB:
 //!
-//! * [`init`] binds each computing thread to its `(machine, host,
-//!   rank)` identity and installs the RTS observer forwarding
-//!   collective wait times and epoch changes into the metrics
-//!   registry;
 //! * [`service_context`] / [`parse_service_context`] carry the active
 //!   [`SpanContext`] across the wire in the request header's
 //!   service-context slot. The context blob is always little-endian,
 //!   independent of the message endianness — it is opaque to the
 //!   GIOP layer and self-contained for the decoder;
-//! * [`record`] and [`phase`] record a span on the calling rank.
+//! * [`record`] and [`phase`] record a span on the calling rank,
+//!   stamped with the rank's RTS vector clock.
+//!
+//! The RTS records its own metrics (collective wait times, epoch
+//! changes) into the same per-rank registry.
 
 use bytes::Bytes;
 use pardis_cdr::{CdrReader, CdrWriter, Decode, Encode, Endian};
-use pardis_obs::{metrics, recorder, SpanContext, SpanKind, SC_TRACING};
+use pardis_obs::{recorder, SpanContext, SpanKind, SC_TRACING};
+use pardis_rts::clock::ClockWitness;
 use pardis_rts::Endpoint;
 use std::time::Duration;
-
-/// Forwards RTS notifications into the calling rank's metrics block
-/// (both callbacks fire on the rank's own thread).
-struct ForwardToMetrics;
-
-impl pardis_rts::probe::RtsObserver for ForwardToMetrics {
-    fn collective_complete(&self, _name: &'static str, _rank: usize, wait_ns: u64) {
-        metrics::observe("rts.collective_wait_ns", wait_ns);
-    }
-
-    fn epoch_changed(&self, _rank: usize, _epoch: u64) {
-        metrics::add("rts.epoch_changes", 1);
-    }
-}
-
-/// Bind the calling thread's observability identity and (once per
-/// process) install the RTS observer. Called from `OrbCtx::init`.
-pub(crate) fn init(machine: &str, host: u32, rts: &Endpoint) {
-    pardis_obs::init_rank(machine, host, rts.rank());
-    pardis_rts::probe::set_observer(Box::new(ForwardToMetrics));
-}
 
 /// The service-context entries for an outgoing request: the active
 /// invocation's [`SpanContext`], or nothing when no trace is active.
@@ -74,7 +55,8 @@ pub(crate) fn parse_service_context(entries: &[(u32, Bytes)]) -> Option<SpanCont
 }
 
 /// Record a completed span on the calling rank: `ids` are its trace,
-/// span and parent span ids, `rts` gives its membership epoch.
+/// span and parent span ids, `rts` gives its membership epoch, and the
+/// rank's clock witness its vector clock.
 pub(crate) fn record(
     kind: SpanKind,
     name: &str,
@@ -91,6 +73,7 @@ pub(crate) fn record(
         parent_span,
         epoch: rts.map_or(0, |rts| rts.membership().epoch()),
         bytes,
+        clock: ClockWitness::snapshot().0,
         wait_ns: wait.as_nanos() as u64,
     });
 }

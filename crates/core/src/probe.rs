@@ -1,6 +1,6 @@
-//! The ORB instrumentation spine: the one place where the `analyze`
-//! and `obs` features hook the request path (§3.2: synchronize, agree
-//! on the request, transfer, synchronize), the ORB counterpart of
+//! The ORB instrumentation spine: the one place where the `instrument`
+//! feature hooks the request path (§3.2: synchronize, agree on the
+//! request, transfer, synchronize), the ORB counterpart of
 //! `pardis_rts::probe`.
 //!
 //! The ORB calls a small typed event set unconditionally: rank init,
@@ -8,9 +8,9 @@
 //! buffer and window access, window fence and free, counter, finding and service
 //! context. Span times come from the invocation's [`InvokeTiming`], not
 //! from clocks of their own. The mechanisms stay in `race` and
-//! `analyze` (the `analyze` feature) and `obs` (the `obs` feature).
-//! Without either feature every event is an empty inline function, and
-//! [`BufId`] and the span tokens are zero-sized.
+//! `analyze` (happens-before analysis, PA101/PA103 findings) and `obs`
+//! (spans, metrics). Without the feature every event is an empty inline
+//! function, and [`BufId`] and the span tokens are zero-sized.
 
 use crate::error::PardisResult;
 use crate::request::{InvokeTiming, ReplyResult, RequestSpec};
@@ -19,7 +19,7 @@ use pardis_net::giop::TransferMode;
 use pardis_net::Host;
 use pardis_rts::{Endpoint, Window};
 use std::time::{Duration, Instant};
-#[cfg(feature = "obs")]
+#[cfg(feature = "instrument")]
 use {crate::obs, pardis_obs::recorder::alloc_span_id, pardis_obs::SpanKind};
 
 /// Identity of a distributed-sequence local buffer for the race
@@ -28,7 +28,7 @@ use {crate::obs, pardis_obs::recorder::alloc_span_id, pardis_obs::SpanKind};
 /// a fresh id; ids are analyzer metadata, so all compare equal.
 #[derive(Debug)]
 pub struct BufId {
-    #[cfg(feature = "analyze")]
+    #[cfg(feature = "instrument")]
     id: u64,
 }
 
@@ -36,7 +36,7 @@ impl BufId {
     /// A fresh identity.
     pub(crate) fn fresh() -> BufId {
         BufId {
-            #[cfg(feature = "analyze")]
+            #[cfg(feature = "instrument")]
             id: crate::race::new_buf_id(),
         }
     }
@@ -44,7 +44,7 @@ impl BufId {
     /// The same identity, for an argument that transfers this buffer.
     pub(crate) fn share(&self) -> BufId {
         BufId {
-            #[cfg(feature = "analyze")]
+            #[cfg(feature = "instrument")]
             id: self.id,
         }
     }
@@ -52,7 +52,7 @@ impl BufId {
     /// No identity: an untracked buffer (e.g. a plain slice argument).
     pub fn untracked() -> BufId {
         BufId {
-            #[cfg(feature = "analyze")]
+            #[cfg(feature = "instrument")]
             id: 0,
         }
     }
@@ -74,33 +74,34 @@ impl PartialEq for BufId {
 /// its operation name and this rank's root span id.
 #[derive(Debug, Clone)]
 pub(crate) struct InvokeToken {
-    #[cfg(feature = "obs")]
+    #[cfg(feature = "instrument")]
     op: String,
-    #[cfg(feature = "obs")]
+    #[cfg(feature = "instrument")]
     root: u64,
 }
 
 /// The client's tracing context of a request being served; after
 /// [`dispatch`] its parent span is this rank's dispatch span.
 pub(crate) struct ServeToken {
-    #[cfg(feature = "obs")]
+    #[cfg(feature = "instrument")]
     sc: Option<pardis_obs::SpanContext>,
 }
 
 /// Bind the calling thread's identity before anything is recorded on it.
 #[inline]
 pub(crate) fn rank_init(host: &Host, rts: &Endpoint) {
-    #[cfg(feature = "analyze")]
-    crate::race::set_actor(&host.name(), rts.rank());
-    #[cfg(feature = "obs")]
-    obs::init(&host.name(), host.id().0, rts);
+    #[cfg(feature = "instrument")]
+    {
+        crate::race::set_actor(&host.name(), rts.rank());
+        pardis_obs::init_rank(&host.name(), host.id().0, rts.rank());
+    }
     let _ = (host, rts);
 }
 
 /// A bind of `name`, begun at `started`, completed.
 #[inline]
 pub(crate) fn bind(rts: &Endpoint, name: &str, started: Instant) {
-    #[cfg(feature = "obs")]
+    #[cfg(feature = "instrument")]
     {
         let ids = [0, alloc_span_id(), 0];
         obs::record(SpanKind::Bind, name, ids, Some(rts), 0, started.elapsed());
@@ -108,20 +109,20 @@ pub(crate) fn bind(rts: &Endpoint, name: &str, started: Instant) {
     let _ = (rts, name, started);
 }
 
-/// The entry synchronization of a collective invocation. Under
-/// `analyze` it is the PA101 agreement that every thread issues the
-/// same invocation, which turns divergence into a typed error instead
-/// of a hang; no rank leaves it before every rank has entered, so it
-/// replaces the barrier.
+/// The entry synchronization of a collective invocation: a barrier.
+/// Instrumented, the barrier is the message-relayed one, and it
+/// carries the PA101 agreement that every thread issues the same
+/// invocation, which turns divergence into a typed error instead of a
+/// hang.
 #[inline]
 pub(crate) fn invoke_sync(
     rts: &Endpoint,
     spec: &RequestSpec,
     mode: TransferMode,
 ) -> PardisResult<()> {
-    #[cfg(feature = "analyze")]
+    #[cfg(feature = "instrument")]
     rts.agree_collective(&crate::analyze::fingerprint(spec, mode))?;
-    #[cfg(not(feature = "analyze"))]
+    #[cfg(not(feature = "instrument"))]
     {
         let _ = (spec, mode);
         rts.barrier();
@@ -135,7 +136,7 @@ pub(crate) fn invoke_sync(
 #[inline]
 pub(crate) fn invoke_begin(op: &str, req_id: u64, roots_trace: bool) -> InvokeToken {
     let _ = (op, req_id, roots_trace);
-    #[cfg(feature = "obs")]
+    #[cfg(feature = "instrument")]
     let (op, root) = {
         pardis_obs::metrics::add("orb.requests", 1);
         let root = if roots_trace { req_id } else { alloc_span_id() };
@@ -143,9 +144,9 @@ pub(crate) fn invoke_begin(op: &str, req_id: u64, roots_trace: bool) -> InvokeTo
         (op.to_string(), root)
     };
     InvokeToken {
-        #[cfg(feature = "obs")]
+        #[cfg(feature = "instrument")]
         op,
-        #[cfg(feature = "obs")]
+        #[cfg(feature = "instrument")]
         root,
     }
 }
@@ -160,7 +161,7 @@ pub(crate) fn invoke_end(
     result: &PardisResult<ReplyResult>,
     total: Duration,
 ) {
-    #[cfg(feature = "obs")]
+    #[cfg(feature = "instrument")]
     {
         if matches!(result, Err(crate::PardisError::Timeout)) {
             pardis_obs::metrics::add("orb.timeouts", 1);
@@ -170,7 +171,7 @@ pub(crate) fn invoke_end(
         obs::record(SpanKind::Invoke, &token.op, ids, Some(rts), 0, total);
         pardis_obs::recorder::clear_current();
     }
-    #[cfg(not(feature = "obs"))]
+    #[cfg(not(feature = "instrument"))]
     let _ = (rts, req_id, token, result, total);
 }
 
@@ -178,7 +179,7 @@ pub(crate) fn invoke_end(
 /// `pack`.
 #[inline]
 pub(crate) fn marshal(bytes: usize, pack: Duration) {
-    #[cfg(feature = "obs")]
+    #[cfg(feature = "instrument")]
     obs::phase(SpanKind::Marshal, "request-body", None, bytes as u64, pack);
     let _ = (bytes, pack);
 }
@@ -187,7 +188,7 @@ pub(crate) fn marshal(bytes: usize, pack: Duration) {
 /// `wait`.
 #[inline]
 pub(crate) fn xfer(rts: &Endpoint, mode: TransferMode, op: &str, bytes: u64, wait: Duration) {
-    #[cfg(feature = "obs")]
+    #[cfg(feature = "instrument")]
     {
         let (kind, metric) = match mode {
             TransferMode::Centralized => (SpanKind::XferCentralized, "xfer.centralized.bytes"),
@@ -202,7 +203,7 @@ pub(crate) fn xfer(rts: &Endpoint, mode: TransferMode, op: &str, bytes: u64, wai
 /// A multi-port fragment of `bytes` was marshaled.
 #[inline]
 pub(crate) fn fragment(bytes: usize) {
-    #[cfg(feature = "obs")]
+    #[cfg(feature = "instrument")]
     pardis_obs::metrics::observe("xfer.multiport.frag_bytes", bytes as u64);
     let _ = bytes;
 }
@@ -212,7 +213,7 @@ pub(crate) fn fragment(bytes: usize) {
 /// arguments and writes `out`/`inout` ones.
 #[inline]
 pub(crate) fn transfer_open(rts: &Endpoint, spec: &RequestSpec, req_id: u64, mode: &'static str) {
-    #[cfg(feature = "analyze")]
+    #[cfg(feature = "instrument")]
     for arg in &spec.dist_args {
         let epoch = rts.membership().epoch();
         crate::race::open_transfer(arg.buf_id.id, arg.dir, &spec.operation, req_id, mode, epoch);
@@ -224,7 +225,7 @@ pub(crate) fn transfer_open(rts: &Endpoint, spec: &RequestSpec, req_id: u64, mod
 /// after it.
 #[inline]
 pub(crate) fn transfer_close(req_id: u64) {
-    #[cfg(feature = "analyze")]
+    #[cfg(feature = "instrument")]
     crate::race::close_transfer(req_id);
     let _ = req_id;
 }
@@ -233,7 +234,7 @@ pub(crate) fn transfer_close(req_id: u64) {
 /// `buf` through `what`.
 #[inline]
 pub(crate) fn buffer_access(buf: &BufId, write: bool, what: &str) {
-    #[cfg(feature = "analyze")]
+    #[cfg(feature = "instrument")]
     {
         use crate::race::AccessKind::{Read, Write};
         crate::race::on_access(buf.id, if write { Write } else { Read }, what);
@@ -245,7 +246,7 @@ pub(crate) fn buffer_access(buf: &BufId, write: bool, what: &str) {
 /// `win`.
 #[inline]
 pub(crate) fn window_access(win: &Window, target: usize, offset: usize, len: usize, write: bool) {
-    #[cfg(feature = "analyze")]
+    #[cfg(feature = "instrument")]
     crate::race::on_window_access(win.id(), target, offset, len, write);
     let _ = (win, target, offset, len, write);
 }
@@ -255,7 +256,7 @@ pub(crate) fn window_access(win: &Window, target: usize, offset: usize, len: usi
 /// releases the others into the next epoch.
 #[inline]
 pub(crate) fn window_fence(rts: &Endpoint, win: &Window, thread: usize) {
-    #[cfg(feature = "analyze")]
+    #[cfg(feature = "instrument")]
     {
         if thread == 0 {
             crate::race::window_fence(win.id());
@@ -270,7 +271,7 @@ pub(crate) fn window_fence(rts: &Endpoint, win: &Window, thread: usize) {
 /// follows.
 #[inline]
 pub(crate) fn window_free(rts: &Endpoint, win: &Window, thread: usize) {
-    #[cfg(feature = "analyze")]
+    #[cfg(feature = "instrument")]
     {
         rts.barrier();
         if thread == 0 {
@@ -283,20 +284,20 @@ pub(crate) fn window_free(rts: &Endpoint, win: &Window, thread: usize) {
 /// Add one to the metric `name`.
 #[inline]
 pub(crate) fn counter(name: &'static str) {
-    #[cfg(feature = "obs")]
+    #[cfg(feature = "instrument")]
     pardis_obs::metrics::add(name, 1);
     let _ = name;
 }
 
-/// Record the runtime finding `code` if `check` (run only under
-/// `analyze`) describes one.
+/// Record the runtime finding `code` if `check` (run only when
+/// instrumented) describes one.
 #[inline]
 pub(crate) fn finding(code: &'static str, check: impl FnOnce() -> Option<String>) {
-    #[cfg(feature = "analyze")]
+    #[cfg(feature = "instrument")]
     if let Some(message) = check() {
         crate::analyze::record(code, message);
     }
-    #[cfg(not(feature = "analyze"))]
+    #[cfg(not(feature = "instrument"))]
     let _ = (code, check);
 }
 
@@ -304,11 +305,11 @@ pub(crate) fn finding(code: &'static str, check: impl FnOnce() -> Option<String>
 /// invocation's tracing context, if any.
 #[inline]
 pub(crate) fn service_context(rts: &Endpoint) -> Vec<(u32, Bytes)> {
-    #[cfg(feature = "obs")]
+    #[cfg(feature = "instrument")]
     {
         obs::service_context(rts)
     }
-    #[cfg(not(feature = "obs"))]
+    #[cfg(not(feature = "instrument"))]
     {
         let _ = rts;
         Vec::new()
@@ -320,7 +321,7 @@ pub(crate) fn service_context(rts: &Endpoint) -> Vec<(u32, Bytes)> {
 pub(crate) fn serve_begin(entries: &[(u32, Bytes)]) -> ServeToken {
     let _ = entries;
     ServeToken {
-        #[cfg(feature = "obs")]
+        #[cfg(feature = "instrument")]
         sc: obs::parse_service_context(entries),
     }
 }
@@ -336,7 +337,7 @@ pub(crate) fn dispatch(
     bytes: usize,
     started: Instant,
 ) {
-    #[cfg(feature = "obs")]
+    #[cfg(feature = "instrument")]
     if let Some(sc) = &mut token.sc {
         let ids = [sc.trace_id, alloc_span_id(), sc.parent_span];
         let wait = started.elapsed();
@@ -350,7 +351,7 @@ pub(crate) fn dispatch(
 /// dispatch span, takes the serve timing's pack + send.
 #[inline]
 pub(crate) fn reply(rts: &Endpoint, token: &ServeToken, op: &str, timing: &InvokeTiming) {
-    #[cfg(feature = "obs")]
+    #[cfg(feature = "instrument")]
     {
         pardis_obs::metrics::add("orb.served", 1);
         if let Some(sc) = &token.sc {
@@ -364,13 +365,13 @@ pub(crate) fn reply(rts: &Endpoint, token: &ServeToken, op: &str, timing: &Invok
 
 #[cfg(test)]
 impl BufId {
-    /// The id, when buffers are tracked (under `analyze`).
+    /// The id, when buffers are tracked (when instrumented).
     pub(crate) fn tracked(&self) -> Option<u64> {
-        #[cfg(feature = "analyze")]
+        #[cfg(feature = "instrument")]
         {
             Some(self.id)
         }
-        #[cfg(not(feature = "analyze"))]
+        #[cfg(not(feature = "instrument"))]
         {
             None
         }

@@ -1,5 +1,5 @@
 //! Happens-before race detection for the SPMD data plane (the
-//! `analyze` feature; findings PA201 and PA202).
+//! `instrument` feature; findings PA201 and PA202).
 //!
 //! The paper's argument-transfer methods move a distributed sequence's
 //! local parts while the computing threads keep running: a future

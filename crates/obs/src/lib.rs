@@ -9,8 +9,8 @@
 //!   epoch) that rides a GIOP service-context slot, so the server's
 //!   per-rank spans link under the client's invocation root;
 //! * [`recorder`] — per-rank span logs. Every record carries the
-//!   rank's vector clock ([`pardis_rts::clock::ClockWitness`]) and a
-//!   per-rank sequence number, so a seeded run's log replays
+//!   rank's RTS vector clock and a per-rank sequence number, so a
+//!   seeded run's log replays
 //!   **bit-for-bit** (wall-clock durations are carried but quarantined
 //!   in one volatile field);
 //! * [`metrics`] — a registry of per-rank counters and fixed-bucket
@@ -21,8 +21,8 @@
 //!   traces of the same seed. The `pardis-trace` binary is its CLI.
 //!
 //! The instrumentation hooks live in `pardis-rts`/`pardis-core` behind
-//! their `obs` features; this crate is pure mechanism and carries no
-//! feature gates of its own.
+//! their `instrument` features; this crate is pure mechanism, carries
+//! no feature gates of its own, and depends on neither.
 
 pub mod json;
 pub mod metrics;

@@ -147,6 +147,11 @@ pub fn init(machine: &str, host: u32, rank: usize) {
     HANDLE.with(|h| *h.borrow_mut() = Some(m));
 }
 
+/// The calling thread's instrument block, if it is bound.
+pub fn current() -> Option<Arc<RankMetrics>> {
+    HANDLE.with(|h| h.borrow().clone())
+}
+
 /// Add `delta` to the calling rank's counter; no-op when the thread is
 /// not bound.
 pub fn add(name: &str, delta: u64) {

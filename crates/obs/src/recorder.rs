@@ -8,15 +8,15 @@
 //!
 //! Determinism contract: everything in a record except `wait_ns`
 //! derives from the seeded execution — ids, sequence numbers, byte
-//! counts, vector clocks ([`ClockWitness`] advances only on RTS
-//! messages, joined in program order, and on epoch changes).
+//! counts, vector clocks (the caller passes the rank's RTS clock,
+//! which advances only on RTS messages, joined in program order, and
+//! on epoch changes).
 //! `wait_ns` is wall-clock and is quarantined: the per-rank log
 //! carries it (the straggler report needs it) but the merged timeline
 //! excludes it.
 
 use crate::json;
 use crate::span::SpanKind;
-use pardis_rts::clock::ClockWitness;
 use parking_lot::Mutex;
 use std::cell::RefCell;
 use std::fmt::Write as _;
@@ -98,9 +98,8 @@ impl SpanRecord {
     }
 }
 
-/// The fields a caller supplies to [`record`]; rank identity, the
-/// sequence number, and the vector clock are filled in by the
-/// recorder.
+/// The fields a caller supplies to [`record`]; rank identity and the
+/// sequence number are filled in by the recorder.
 #[derive(Debug, Clone)]
 pub struct SpanEvent {
     /// Phase covered.
@@ -117,6 +116,8 @@ pub struct SpanEvent {
     pub epoch: u64,
     /// Payload bytes moved.
     pub bytes: u64,
+    /// The rank's vector clock when the span completed.
+    pub clock: Vec<u64>,
     /// Wall-clock duration (volatile).
     pub wait_ns: u64,
 }
@@ -194,7 +195,7 @@ pub fn current() -> Option<(u64, u64)> {
 }
 
 /// Append a span to the calling rank's log. No-op when the thread is
-/// not bound (the `obs` feature is on but the ORB was not
+/// not bound (the `instrument` feature is on but the ORB was not
 /// initialized, e.g. in unrelated unit tests).
 pub fn record(ev: SpanEvent) {
     STATE.with(|s| {
@@ -211,7 +212,7 @@ pub fn record(ev: SpanEvent) {
                 name: ev.name,
                 epoch: ev.epoch,
                 bytes: ev.bytes,
-                clock: ClockWitness::snapshot().0,
+                clock: ev.clock,
                 wait_ns: ev.wait_ns,
             };
             st.next_seq += 1;
@@ -257,6 +258,7 @@ mod tests {
             parent_span: 0,
             epoch: 0,
             bytes: 8,
+            clock: vec![1, 0],
             wait_ns: 55,
         }
     }
@@ -275,6 +277,7 @@ mod tests {
         assert_eq!(all[0].rank, 1);
         assert_eq!(all[0].seq, 0);
         assert_eq!(all[1].seq, 1);
+        assert_eq!(all[0].clock, vec![1, 0]);
         assert_eq!(all[0].span_id, (3u64 << 40) | (2u64 << 32));
         assert!(drain_all().is_empty());
     }

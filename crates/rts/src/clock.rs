@@ -1,5 +1,5 @@
-//! Per-rank vector clocks for happens-before analysis (the `analyze`
-//! feature) and causal span ordering (the `obs` feature).
+//! Per-rank vector clocks for happens-before analysis and causal span
+//! ordering (the `instrument` feature).
 //!
 //! The clocks follow Fidge and Mattern: every RTS message carries its
 //! sender's clock, so the happens-before model holds exactly the edges

@@ -311,26 +311,44 @@ impl Endpoint {
     }
 
     /// Software barrier over the survivor set, relayed through rank 0:
-    /// each live rank sends a token to rank 0, which releases everyone
-    /// once all tokens are in. Replaces the `std::sync::Barrier` (whose
-    /// count includes the dead) as soon as the membership records a
-    /// death.
+    /// a relay round with empty tokens. Replaces the
+    /// `std::sync::Barrier` (whose count includes the dead) as soon as
+    /// the membership records a death.
     pub(crate) fn survivor_barrier(&self, dead: u64) -> RtsResult<()> {
+        self.relay_round(dead, Bytes::new(), |_| Bytes::new())
+            .map(drop)
+    }
+
+    /// One round relayed through rank 0 over the survivor set: each
+    /// live rank sends `token` to rank 0, which receives the tokens
+    /// source by source, hands them to `decide` as `(rank, token)`
+    /// pairs, and sends the release `decide` returns to every live
+    /// rank. Returns the release on every rank. No rank leaves before
+    /// every live rank has entered, so a round is a barrier; the
+    /// collective-consistency agreement (`verify`) is the same round
+    /// carrying fingerprints and a verdict.
+    pub(crate) fn relay_round(
+        &self,
+        dead: u64,
+        token: Bytes,
+        decide: impl FnOnce(Vec<(usize, Bytes)>) -> Bytes,
+    ) -> RtsResult<Bytes> {
         if !live(dead, self.rank()) {
             return Err(RtsError::DeadRank { rank: self.rank() });
         }
-        if self.rank() == 0 {
-            for from in self.live_peers(dead) {
-                self.recv_internal(from, tags::MBAR_IN)?;
-            }
-            for to in self.live_peers(dead) {
-                self.send_internal(to, tags::MBAR_OUT, Bytes::new())?;
-            }
-        } else {
-            self.send_internal(0, tags::MBAR_IN, Bytes::new())?;
-            self.recv_internal(0, tags::MBAR_OUT)?;
+        if self.rank() != 0 {
+            self.send_internal(0, tags::MBAR_IN, token)?;
+            return self.recv_internal(0, tags::MBAR_OUT);
         }
-        Ok(())
+        let mut tokens = Vec::with_capacity(self.size());
+        for from in self.live_peers(dead) {
+            tokens.push((from, self.recv_internal(from, tags::MBAR_IN)?));
+        }
+        let release = decide(tokens);
+        for to in self.live_peers(dead) {
+            self.send_internal(to, tags::MBAR_OUT, release.clone())?;
+        }
+        Ok(release)
     }
 
     /// Every rank but this one that is alive under `dead`, in rank

@@ -212,6 +212,16 @@ impl Endpoint {
     /// assumed alive (its death is machine death at the layer above).
     /// With instrumentation compiled in, the relayed barrier is used
     /// throughout: its messages carry the vector clocks.
+    ///
+    /// Do not use the relayed barrier in the healthy featureless build
+    /// too, although one barrier would be less code: it costs two
+    /// message hops through rank 0 and a wake-up per rank where the
+    /// shared-memory barrier costs one. Measured with the relayed
+    /// barrier everywhere (perfbench `small_rpc`, six alternating pairs
+    /// of 10 s runs, 2-core host), every pair was slower and the
+    /// medians of the per-invocation p50 latencies rose from 142 to
+    /// 177 µs (centralized, +24%) and from 128 to 164 µs (multi-port,
+    /// +28%).
     pub fn barrier(&self) {
         let dead = self.membership.dead_mask();
         // A disconnect here means a peer exited without a recorded

@@ -44,19 +44,19 @@
 //! }
 //! ```
 
-#[cfg(any(feature = "analyze", feature = "obs"))]
+#[cfg(feature = "instrument")]
 pub mod clock;
 pub mod collectives;
 pub mod domain;
 pub mod endpoint;
 pub mod error;
-#[cfg(feature = "analyze")]
+#[cfg(feature = "instrument")]
 pub mod lockgraph;
 pub mod membership;
 pub mod probe;
 pub mod reduce;
 pub mod rma;
-#[cfg(feature = "analyze")]
+#[cfg(feature = "instrument")]
 pub mod verify;
 
 pub use domain::Domain;
@@ -91,14 +91,13 @@ pub mod tags {
     pub const REDUCE: Tag = RESERVED_TAG_BASE + 5;
     /// Personalized all-to-all chunk (rank -> rank).
     pub const ALLTOALL: Tag = RESERVED_TAG_BASE + 6;
-    /// Message-relayed barrier token (live rank -> rank 0).
+    /// Relay-round token (live rank -> rank 0): empty for the
+    /// message-relayed barrier, the call-site fingerprint for the
+    /// collective-consistency agreement.
     pub const MBAR_IN: Tag = RESERVED_TAG_BASE + 7;
-    /// Message-relayed barrier release (rank 0 -> live ranks).
+    /// Relay-round release (rank 0 -> live ranks): empty for the
+    /// barrier, the verdict for the agreement.
     pub const MBAR_OUT: Tag = RESERVED_TAG_BASE + 8;
-    /// Collective-consistency fingerprint (rank -> rank 0).
-    pub const VERIFY: Tag = RESERVED_TAG_BASE + 9;
-    /// Collective-consistency verdict (rank 0 -> rank).
-    pub const VERDICT: Tag = RESERVED_TAG_BASE + 10;
 }
 
 #[cfg(test)]
@@ -114,7 +113,7 @@ mod tests {
     fn reserved_tags_are_pairwise_distinct() {
         use tags::*;
         let all = [
-            BCAST, GATHER, SCATTER, ALLGATHER, REDUCE, ALLTOALL, MBAR_IN, MBAR_OUT, VERIFY, VERDICT,
+            BCAST, GATHER, SCATTER, ALLGATHER, REDUCE, ALLTOALL, MBAR_IN, MBAR_OUT,
         ];
         for (i, a) in all.iter().enumerate() {
             assert!(

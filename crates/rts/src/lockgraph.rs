@@ -1,5 +1,5 @@
-//! Wait-for-order tracking and deadlock-cycle detection (the `analyze`
-//! feature).
+//! Wait-for-order tracking and deadlock-cycle detection (the
+//! `instrument` feature).
 //!
 //! The graph's nodes are the two kinds of things a PARDIS thread can
 //! block on: **locks** (by *class*, a static string naming the lock's

@@ -1,4 +1,4 @@
-//! Collective-consistency verification (the `analyze` feature).
+//! Collective-consistency verification (the `instrument` feature).
 //!
 //! After `_spmd_bind`, every invocation on a distributed object must be
 //! issued by **all** computing threads, in the same order, with the
@@ -10,26 +10,25 @@
 //! This module turns that deadlock into a typed error. Before the
 //! collective part of an invocation runs, every rank fingerprints its
 //! call site (operation, transfer mode, argument shapes) and the ranks
-//! agree on the fingerprint over a dedicated reserved tag pair: rank 0
-//! collects all fingerprints, compares them against its own, and
-//! broadcasts a verdict. On divergence, every rank returns
-//! [`RtsError::CollectiveMismatch`] naming the divergent thread and
-//! both call sites.
+//! agree on the fingerprint in one relay round through rank 0, the
+//! same round the message-relayed barrier runs: each rank's token
+//! ([`tags::MBAR_IN`](crate::tags::MBAR_IN)) carries its fingerprint,
+//! rank 0 compares them against its own, and the release
+//! ([`tags::MBAR_OUT`](crate::tags::MBAR_OUT)) carries the verdict. On
+//! divergence, every rank returns [`RtsError::CollectiveMismatch`]
+//! naming the divergent thread (the lowest-ranked one, if several
+//! diverge) and both call sites.
 //!
 //! No rank can send its next fingerprint before it has received this
 //! round's verdict, so in every round rank 0 compares fingerprints of
-//! the same round: the rounds need no sequence number. No rank leaves
-//! the agreement before every rank has entered it, so it synchronizes
-//! as a barrier does.
-//!
-//! The agreement itself must not use the high-level collectives (they
-//! would re-enter verification); it uses raw tagged sends on
-//! [`tags::VERIFY`] / [`tags::VERDICT`], run through
-//! `Endpoint::collective` so the lock graph sees a collective node.
+//! the same round: the rounds need no sequence number. The agreement
+//! is a barrier with a payload, so it takes the place of the
+//! invocation's entry barrier and costs no extra messages. It runs
+//! through `Endpoint::collective` as the collective `"agree"`, so the
+//! lock graph sees a collective node.
 
 use crate::endpoint::Endpoint;
 use crate::error::{RtsError, RtsResult};
-use crate::tags;
 use bytes::Bytes;
 
 /// FNV-1a offset basis (64-bit).
@@ -69,44 +68,24 @@ impl Endpoint {
     /// same collective; [`RtsError::CollectiveMismatch`] on every rank
     /// when any rank diverged.
     ///
-    /// Must be called by all ranks (it is itself a collective, built
-    /// from raw sends so it cannot recurse into verification).
+    /// Must be called by every live rank (it is itself a collective).
     pub fn agree_collective(&self, fp: &Fingerprint) -> RtsResult<()> {
-        self.collective("agree", || self.agree(fp))
-    }
-
-    fn agree(&self, fp: &Fingerprint) -> RtsResult<()> {
-        if self.rank() == 0 {
-            // Collect every other rank's fingerprint and compare.
-            let mut divergent: Option<(usize, String)> = None;
-            for _ in 0..self.size() - 1 {
-                let m = self.recv_filtered(|m| m.tag == tags::VERIFY)?;
-                let (their_hash, their_site) = decode_fingerprint(&m.payload)?;
-                if their_hash != fp.hash && divergent.is_none() {
-                    divergent = Some((m.from, their_site));
+        let dead = self.dead_mask();
+        let verdict = self.collective("agree", || {
+            self.relay_round(dead, encode_fingerprint(fp), |tokens| {
+                for (rank, token) in tokens {
+                    // A rank that entered a plain barrier instead sends
+                    // an empty token: that is a divergence too.
+                    match decode_fingerprint(&token) {
+                        Some((hash, _)) if hash == fp.hash => {}
+                        Some((_, theirs)) => return encode_mismatch(rank, &fp.site, &theirs),
+                        None => return encode_mismatch(rank, &fp.site, "<no fingerprint>"),
+                    }
                 }
-            }
-            // Broadcast the verdict.
-            let verdict = match &divergent {
-                None => encode_ok(),
-                Some((rank, theirs)) => encode_mismatch(*rank, &fp.site, theirs),
-            };
-            for to in 1..self.size() {
-                self.send_internal(to, tags::VERDICT, verdict.clone())?;
-            }
-            match divergent {
-                None => Ok(()),
-                Some((thread, theirs)) => Err(RtsError::CollectiveMismatch {
-                    thread,
-                    mine: fp.site.clone(),
-                    theirs,
-                }),
-            }
-        } else {
-            self.send_internal(0, tags::VERIFY, encode_fingerprint(fp))?;
-            let m = self.recv_filtered(|m| m.from == 0 && m.tag == tags::VERDICT)?;
-            decode_verdict(&m.payload)
-        }
+                encode_ok()
+            })
+        })?;
+        decode_verdict(&verdict)
     }
 }
 
@@ -117,17 +96,16 @@ fn encode_fingerprint(fp: &Fingerprint) -> Bytes {
     Bytes::from(out)
 }
 
-fn decode_fingerprint(payload: &[u8]) -> RtsResult<(u64, String)> {
+/// The `(hash, site)` a token carries; `None` if it carries none.
+fn decode_fingerprint(payload: &[u8]) -> Option<(u64, String)> {
     if payload.len() < 8 {
-        return Err(RtsError::Internal(
-            "short collective-verify fingerprint".into(),
-        ));
+        return None;
     }
     let mut a = [0u8; 8];
     a.copy_from_slice(&payload[..8]);
     let hash = u64::from_le_bytes(a);
     let site = String::from_utf8_lossy(&payload[8..]).into_owned();
-    Ok((hash, site))
+    Some((hash, site))
 }
 
 fn encode_ok() -> Bytes {
@@ -219,6 +197,27 @@ mod tests {
                 }
                 other => panic!("expected CollectiveMismatch, got {other:?}"),
             }
+        }
+    }
+
+    #[test]
+    fn a_rank_in_a_plain_barrier_is_named() {
+        // The barrier and the agreement share the relay round, so a
+        // rank that calls one while the others call the other is
+        // reported instead of leaving them blocked.
+        let results = Domain::run(3, |ep| {
+            if ep.rank() == 1 {
+                ep.barrier();
+                None
+            } else {
+                Some(ep.agree_collective(&fp(7, "op `step`")))
+            }
+        });
+        for r in results.into_iter().flatten() {
+            assert!(
+                matches!(&r, Err(RtsError::CollectiveMismatch { thread: 1, theirs, .. }) if theirs == "<no fingerprint>"),
+                "{r:?}"
+            );
         }
     }
 

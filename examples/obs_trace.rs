@@ -3,13 +3,13 @@
 //!
 //! A 2-thread SPMD client invokes a 2-thread SPMD server over a faulty
 //! link (seeded frame drops, a data-port kill mid-run), exactly like
-//! the chaos tests — but with the `obs` feature recording causal spans
+//! the chaos tests — but with the `instrument` feature recording causal spans
 //! on every computing thread. After the run the accumulated spans are
 //! drained and written as one JSONL file per `(machine, rank)`, plus a
 //! `metrics.json` snapshot:
 //!
 //! ```text
-//! cargo run --features obs --example obs_trace -- target/obs-trace [seed]
+//! cargo run --features instrument --example obs_trace -- target/obs-trace [seed]
 //! pardis-trace merge target/obs-trace/spans-*.jsonl
 //! ```
 //!

@@ -532,12 +532,12 @@ fn thread_death_multiport_demotes_and_completes() {
 }
 
 // ---------------------------------------------------------------------
-// Race-replay chaos (the `analyze` feature): the happens-before
+// Race-replay chaos (the `instrument` feature): the happens-before
 // detector's findings are part of the run's observable outcome, so two
 // replays of one seed must drain bit-for-bit identical `RaceReport`
 // lists — clocks, buffer ids, request ids, and details included.
 
-#[cfg(feature = "analyze")]
+#[cfg(feature = "instrument")]
 mod race_replay {
     use super::*;
     use pardis_core::race;

@@ -1,8 +1,8 @@
-//! Observability chaos test (the `obs` feature): a seeded chaos run
+//! Observability chaos test (the `instrument` feature): a seeded chaos run
 //! with tracing on must produce per-rank span logs whose merged,
 //! causally-ordered timeline — and whose metrics snapshot — replay
 //! bit-for-bit from the same seed.
-#![cfg(feature = "obs")]
+#![cfg(feature = "instrument")]
 
 use pardis_cdr::{CdrReader, Decode};
 use pardis_core::prelude::*;
